@@ -2,23 +2,33 @@
 //! and a small threaded server, both dependency-free.
 //!
 //! Same idiom as `hom-serve`'s `MetricsServer` — a
-//! [`std::net::TcpListener`] accept loop, `Content-Length` +
-//! `Connection: close`, one request per connection — extended with the
-//! things the router/worker protocol needs beyond a metrics scrape:
-//! **POST bodies** (request batches, snapshots, model blobs),
-//! **deadlines** on every socket (a dead worker must surface as a typed
-//! error within the configured timeout, never hang a router thread),
-//! and **per-connection threads** on the server (a slow or idle client
-//! ties up only its own thread, bounded by the read deadline and a
-//! connection cap — never the accept loop or other requests).
+//! [`std::net::TcpListener`] accept loop and `Content-Length` framing —
+//! extended with the things the router/worker protocol needs beyond a
+//! metrics scrape: **POST bodies** (request batches, snapshots, model
+//! blobs), **deadlines** on every socket (a dead worker must surface as
+//! a typed error within the configured timeout, never hang a router
+//! thread), **per-connection threads** on the server (a slow or idle
+//! client ties up only its own thread, bounded by the read deadline and
+//! a connection cap — never the accept loop or other requests), and
+//! **persistent connections**.
+//!
+//! A connection carries requests until the client sends
+//! `Connection: close`, closes it, or sits idle past the server's read
+//! deadline. The router keeps a small pool of idle connections per
+//! worker, so an exchange costs no connect, no new server thread and no
+//! socket left in `TIME_WAIT`. The one-shot [`http_request`] is the same
+//! client with `Connection: close`. Every message — request or response
+//! — goes out in one write, head and body together, so Nagle's algorithm
+//! and delayed ACKs cannot stall a persistent connection.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Bodies above this size are rejected by the server (64 MiB) — far
 /// above any real model blob or batch, low enough that a corrupt
@@ -33,6 +43,10 @@ const MAX_HEAD: u64 = 16 << 10;
 /// Concurrent connections one server handles. Accepts beyond the cap
 /// are answered `503` immediately — shed, not queued behind slow peers.
 const MAX_CONNECTIONS: usize = 64;
+
+/// How long a server connection may wait for the next request (or for
+/// the rest of one) before the server closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The distributed-trace propagation header. The value is
 /// `hom_obs::TraceContext::to_header()` — two fixed-width lowercase hex
@@ -132,8 +146,9 @@ impl HttpResponse {
     }
 }
 
-/// One blocking HTTP request with a deadline on every socket phase.
-/// Returns the numeric status code and the response body.
+/// One blocking HTTP request on a fresh connection, sent with
+/// `Connection: close`, with a deadline on every socket phase. Returns
+/// the numeric status code and the response body.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,
@@ -155,83 +170,271 @@ pub fn http_request_traced(
     timeout: Duration,
     trace: Option<&str>,
 ) -> Result<(u16, Vec<u8>), HttpError> {
-    let conn = TcpStream::connect_timeout(&addr, timeout)
-        .map_err(|e| HttpError::Connect(e.to_string()))?;
-    conn.set_read_timeout(Some(timeout))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    conn.set_write_timeout(Some(timeout))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    let mut writer = conn.try_clone().map_err(|e| HttpError::Io(e.to_string()))?;
-    let trace_line = match trace {
-        Some(value) => format!("{TRACE_HEADER}: {value}\r\n"),
-        None => String::new(),
-    };
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{trace_line}Connection: close\r\n\r\n",
-        body.len()
-    )
-    .map_err(|e| HttpError::Io(e.to_string()))?;
-    writer
-        .write_all(body)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    writer.flush().map_err(|e| HttpError::Io(e.to_string()))?;
+    let mut conn = Connection::open(addr, timeout)?;
+    conn.send(method, path, body, trace, true)?;
+    conn.receive()
+}
 
-    let mut head = BufReader::new(conn).take(MAX_HEAD);
-    let mut status_line = String::new();
-    head.read_line(&mut status_line)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    if !status_line.ends_with('\n') && head.limit() == 0 {
-        return Err(HttpError::Malformed("status line too long"));
+fn io_error(e: io::Error) -> HttpError {
+    HttpError::Io(e.to_string())
+}
+
+/// One client connection. It is reused only in a known state: after a
+/// reply was read in full and the server kept the connection open.
+pub(crate) struct Connection {
+    addr: SocketAddr,
+    reader: BufReader<TcpStream>,
+    /// Set by a complete reply the server did not close after, cleared
+    /// by the next send. An error or an unread reply leaves it false.
+    reusable: bool,
+}
+
+impl Connection {
+    fn open(addr: SocketAddr, timeout: Duration) -> Result<Self, HttpError> {
+        let conn = TcpStream::connect_timeout(&addr, timeout)
+            .map_err(|e| HttpError::Connect(e.to_string()))?;
+        conn.set_read_timeout(Some(timeout)).map_err(io_error)?;
+        conn.set_write_timeout(Some(timeout)).map_err(io_error)?;
+        conn.set_nodelay(true).map_err(io_error)?;
+        Ok(Connection {
+            addr,
+            reader: BufReader::new(conn),
+            reusable: false,
+        })
     }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or(HttpError::Malformed("status line"))?;
-    let mut content_length: Option<usize> = None;
-    let mut header = String::new();
+
+    /// Write one request, head and body in a single write.
+    pub(crate) fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        trace: Option<&str>,
+        close: bool,
+    ) -> Result<(), HttpError> {
+        self.reusable = false;
+        let mut msg = Vec::with_capacity(160 + body.len());
+        // Writes into a Vec cannot fail.
+        let _ = write!(
+            msg,
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n",
+            self.addr,
+            body.len()
+        );
+        if let Some(value) = trace {
+            let _ = write!(msg, "{TRACE_HEADER}: {value}\r\n");
+        }
+        if close {
+            msg.extend_from_slice(b"Connection: close\r\n");
+        }
+        msg.extend_from_slice(b"\r\n");
+        msg.extend_from_slice(body);
+        self.reader.get_mut().write_all(&msg).map_err(io_error)
+    }
+
+    /// Read one reply in full: the status code and the body.
+    pub(crate) fn receive(&mut self) -> Result<(u16, Vec<u8>), HttpError> {
+        let head = match read_head(&mut self.reader) {
+            Ok(Some(head)) => head,
+            Ok(None) => return Err(HttpError::Io("connection closed before the reply".into())),
+            Err(HeadError::Io(e)) => return Err(io_error(e)),
+            Err(HeadError::StartTooLong) => {
+                return Err(HttpError::Malformed("status line too long"))
+            }
+            Err(HeadError::HeadersTooLarge) => {
+                return Err(HttpError::Malformed("header section too large"))
+            }
+            Err(HeadError::BadLength) => return Err(HttpError::Malformed("content-length")),
+        };
+        let status: u16 = head
+            .start
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or(HttpError::Malformed("status line"))?;
+        let mut body = Vec::new();
+        match head.content_length {
+            Some(len) if len > MAX_BODY => {
+                return Err(HttpError::Malformed("content-length too large"))
+            }
+            Some(len) => {
+                body.resize(len, 0);
+                self.reader.read_exact(&mut body).map_err(io_error)?;
+            }
+            // No length: the body runs to EOF, so the connection ends here.
+            None => {
+                self.reader.read_to_end(&mut body).map_err(io_error)?;
+            }
+        }
+        self.reusable = !head.close && head.content_length.is_some();
+        Ok((status, body))
+    }
+
+    /// Whether an idle connection can carry the next request: nothing is
+    /// buffered or waiting to be read, and the peer has not closed it. A
+    /// non-blocking peek tells a live idle socket (would block) from a
+    /// closed one (EOF or reset) without consuming anything.
+    fn is_idle_and_open(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let conn = self.reader.get_ref();
+        if conn.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let idle =
+            matches!(conn.peek(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        conn.set_nonblocking(false).is_ok() && idle
+    }
+}
+
+/// Idle connections the pool keeps per address. A constant, well under
+/// the server's [`MAX_CONNECTIONS`]: more concurrent exchanges than this
+/// open extra connections, which close after use.
+const POOL_PER_ADDR: usize = 8;
+
+/// A pooled connection idle longer than this is closed, not reused: the
+/// server drops connections idle for [`IDLE_TIMEOUT`], and reusing one
+/// at that moment would race its close.
+const POOL_MAX_IDLE: Duration = Duration::from_secs(15);
+
+/// Idle keep-alive connections, per address. A connection is checked
+/// out for one exchange and checked back in only once its reply has
+/// been read in full; any failure drops it. Nothing here ever resends a
+/// request: a pooled connection found closed is replaced *before* the
+/// write, and a failure after the write is the caller's error.
+pub(crate) struct ConnectionPool {
+    timeout: Duration,
+    idle: Mutex<HashMap<SocketAddr, Vec<(Connection, Instant)>>>,
+}
+
+impl ConnectionPool {
+    /// An empty pool whose connections carry `timeout` on every phase.
+    pub(crate) fn new(timeout: Duration) -> Self {
+        ConnectionPool {
+            timeout,
+            idle: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn idle(&self) -> MutexGuard<'_, HashMap<SocketAddr, Vec<(Connection, Instant)>>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The most recently used idle connection to `addr` that is still
+    /// open, or a fresh one. Closed or stale connections are dropped.
+    pub(crate) fn checkout(&self, addr: SocketAddr) -> Result<Connection, HttpError> {
+        loop {
+            let pooled = self.idle().get_mut(&addr).and_then(Vec::pop);
+            match pooled {
+                Some((conn, since))
+                    if since.elapsed() < POOL_MAX_IDLE && conn.is_idle_and_open() =>
+                {
+                    return Ok(conn)
+                }
+                Some(_) => continue,
+                None => return Connection::open(addr, self.timeout),
+            }
+        }
+    }
+
+    /// Return `conn` after an exchange. Kept only if its reply was read
+    /// in full and the pool for its address has room.
+    pub(crate) fn checkin(&self, conn: Connection) {
+        if !conn.reusable {
+            return;
+        }
+        let mut idle = self.idle();
+        let slot = idle.entry(conn.addr).or_default();
+        if slot.len() < POOL_PER_ADDR {
+            slot.push((conn, Instant::now()));
+        }
+    }
+
+    /// Close every idle connection to `addr`.
+    pub(crate) fn forget(&self, addr: SocketAddr) {
+        self.idle().remove(&addr);
+    }
+
+    /// One exchange on a pooled connection.
+    pub(crate) fn request(
+        &self,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        trace: Option<&str>,
+    ) -> Result<(u16, Vec<u8>), HttpError> {
+        let mut conn = self.checkout(addr)?;
+        conn.send(method, path, body, trace, false)?;
+        let reply = conn.receive()?;
+        self.checkin(conn);
+        Ok(reply)
+    }
+}
+
+/// The start line and the headers this crate reads from one message.
+struct Head {
+    /// Request line or status line, with its line ending.
+    start: String,
+    content_length: Option<usize>,
+    trace: Option<String>,
+    /// The peer sent `Connection: close`.
+    close: bool,
+}
+
+enum HeadError {
+    Io(io::Error),
+    StartTooLong,
+    HeadersTooLarge,
+    BadLength,
+}
+
+impl From<io::Error> for HeadError {
+    fn from(e: io::Error) -> Self {
+        HeadError::Io(e)
+    }
+}
+
+/// Read one message head within [`MAX_HEAD`]. `Ok(None)` means the peer
+/// closed the connection before sending a byte of it.
+fn read_head(reader: &mut BufReader<TcpStream>) -> Result<Option<Head>, HeadError> {
+    let mut capped = reader.by_ref().take(MAX_HEAD);
+    let mut start = String::new();
+    if capped.read_line(&mut start)? == 0 {
+        return Ok(None);
+    }
+    if !start.ends_with('\n') && capped.limit() == 0 {
+        return Err(HeadError::StartTooLong);
+    }
+    let mut head = Head {
+        start,
+        content_length: None,
+        trace: None,
+        close: false,
+    };
+    let mut line = String::new();
     loop {
-        header.clear();
-        let n = head
-            .read_line(&mut header)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
-        if header == "\r\n" || header == "\n" {
+        line.clear();
+        let n = capped.read_line(&mut line)?;
+        if line == "\r\n" || line == "\n" {
             break;
         }
-        if (n == 0 || !header.ends_with('\n')) && head.limit() == 0 {
-            return Err(HttpError::Malformed("header section too large"));
+        if (n == 0 || !line.ends_with('\n')) && capped.limit() == 0 {
+            return Err(HeadError::HeadersTooLarge);
         }
         if n == 0 {
             break;
         }
-        if let Some(v) = header_value(&header, "content-length") {
-            content_length = Some(
-                v.parse()
-                    .map_err(|_| HttpError::Malformed("content-length"))?,
-            );
+        if let Some(v) = header_value(&line, "content-length") {
+            head.content_length = Some(v.parse().map_err(|_| HeadError::BadLength)?);
+        } else if let Some(v) = header_value(&line, TRACE_HEADER) {
+            head.trace = Some(v.to_string());
+        } else if let Some(v) = header_value(&line, "connection") {
+            head.close = v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"));
         }
     }
-    let mut reader = head.into_inner();
-    let mut body = Vec::new();
-    match content_length {
-        Some(len) => {
-            if len > MAX_BODY {
-                return Err(HttpError::Malformed("content-length too large"));
-            }
-            body.resize(len, 0);
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| HttpError::Io(e.to_string()))?;
-        }
-        None => {
-            // Connection: close with no length — read to EOF.
-            reader
-                .read_to_end(&mut body)
-                .map_err(|e| HttpError::Io(e.to_string()))?;
-        }
-    }
-    Ok((status, body))
+    Ok(Some(head))
 }
 
 fn header_value<'a>(line: &'a str, name: &str) -> Option<&'a str> {
@@ -247,8 +450,9 @@ fn header_value<'a>(line: &'a str, name: &str) -> Option<&'a str> {
 pub type Handler = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
 
 /// A blocking HTTP server: one accept-loop thread, requests dispatched
-/// to a [`Handler`]. Dropping the server stops the loop and joins it —
-/// same lifecycle as `hom-serve`'s `MetricsServer`.
+/// to a [`Handler`]. Dropping the server stops the loop, closes every
+/// open connection once its in-flight request is answered, and joins
+/// the connection threads.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -303,10 +507,18 @@ impl Drop for HttpServer {
     }
 }
 
+/// A server's open connections, keyed by accept order: what the
+/// connection cap counts, and what stopping the server shuts down.
+type OpenConnections = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+fn lock_open(open: &OpenConnections) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    open.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
-    let active = Arc::new(AtomicUsize::new(0));
+    let open: OpenConnections = Arc::default();
     let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
+    for (id, conn) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::Acquire) {
             break;
         }
@@ -315,101 +527,130 @@ fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
         // One thread per connection: a slow or idle peer ties up only
         // its own thread (bounded by the read deadline), never the
         // accept loop or other requests. Beyond the cap, shed promptly.
-        if active.load(Ordering::Acquire) >= MAX_CONNECTIONS {
-            let _ = write_response(&mut conn, &HttpResponse::unavailable("connection limit"));
-            continue;
+        {
+            let mut open_now = lock_open(&open);
+            if open_now.len() >= MAX_CONNECTIONS {
+                drop(open_now);
+                let _ = write_response(
+                    &mut conn,
+                    &HttpResponse::unavailable("connection limit"),
+                    true,
+                );
+                continue;
+            }
+            let Ok(registered) = conn.try_clone() else {
+                continue;
+            };
+            open_now.insert(id, registered);
         }
-        active.fetch_add(1, Ordering::AcqRel);
         let handler = Arc::clone(&handler);
-        let thread_active = Arc::clone(&active);
+        let thread_open = Arc::clone(&open);
         let spawned = std::thread::Builder::new()
             .name("hom-http-conn".to_string())
             .spawn(move || {
                 // An I/O error drops the connection — a broken client
                 // must never take the node down.
-                let _ = serve_connection(&mut conn, &handler);
-                thread_active.fetch_sub(1, Ordering::AcqRel);
+                let _ = serve_connection(conn, &handler);
+                // The registered clone is the socket's last handle:
+                // dropping it closes the connection.
+                lock_open(&thread_open).remove(&id);
             });
-        match spawned {
-            Ok(handle) => conn_threads.push(handle),
+        if let Ok(handle) = spawned {
+            conn_threads.push(handle);
+        } else {
             // Spawn failure (thread exhaustion): the closure — and with
             // it the connection — was dropped without running.
-            Err(_) => {
-                active.fetch_sub(1, Ordering::AcqRel);
-            }
+            lock_open(&open).remove(&id);
         }
     }
-    // Dropping the server waits for in-flight requests, the same
-    // lifecycle the old inline dispatch had.
+    // Stopping: shut the read side of every open connection. A thread
+    // waiting for its connection's next request wakes to EOF at once
+    // instead of at the idle deadline; a request already read is still
+    // answered before its thread exits.
+    for conn in lock_open(&open).values() {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
     for handle in conn_threads {
         let _ = handle.join();
     }
 }
 
-fn serve_connection(conn: &mut TcpStream, handler: &Handler) -> std::io::Result<()> {
+/// Serve requests on one connection until the peer closes it, asks for
+/// `Connection: close` (or speaks HTTP/1.0), sends a request this
+/// server rejects, or stays idle past [`IDLE_TIMEOUT`].
+fn serve_connection(conn: TcpStream, handler: &Handler) -> io::Result<()> {
     // A peer that connects and never writes must not pin its thread
     // forever: every inbound socket gets a generous fixed deadline.
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-    conn.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let mut head = BufReader::new(conn.try_clone()?).take(MAX_HEAD);
-    let mut request_line = String::new();
-    head.read_line(&mut request_line)?;
-    if !request_line.ends_with('\n') && head.limit() == 0 {
-        return write_response(conn, &HttpResponse::bad_request("request line too long"));
-    }
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => return write_response(conn, &HttpResponse::bad_request("bad request line")),
-    };
-    let mut content_length = 0usize;
-    let mut trace: Option<String> = None;
-    let mut header = String::new();
+    conn.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    conn.set_write_timeout(Some(IDLE_TIMEOUT))?;
+    conn.set_nodelay(true)?;
+    let mut reader = BufReader::new(conn);
     loop {
-        header.clear();
-        let n = head.read_line(&mut header)?;
-        if header == "\r\n" || header == "\n" {
-            break;
-        }
-        if (n == 0 || !header.ends_with('\n')) && head.limit() == 0 {
-            return write_response(conn, &HttpResponse::bad_request("header section too large"));
-        }
-        if n == 0 {
-            break;
-        }
-        if let Some(v) = header_value(&header, "content-length") {
-            match v.parse::<usize>() {
-                Ok(len) if len <= MAX_BODY => content_length = len,
-                _ => return write_response(conn, &HttpResponse::bad_request("bad content-length")),
+        let outcome = match read_head(&mut reader) {
+            Ok(None) => return Ok(()),
+            Ok(Some(head)) => serve_request(&mut reader, head, handler)?,
+            Err(HeadError::Io(e)) => return Err(e),
+            Err(HeadError::StartTooLong) => Err("request line too long"),
+            Err(HeadError::HeadersTooLarge) => Err("header section too large"),
+            Err(HeadError::BadLength) => Err("bad content-length"),
+        };
+        match outcome {
+            Ok(true) => {}
+            Ok(false) => return Ok(()),
+            // The rest of the stream is in an unknown state: answer, close.
+            Err(reason) => {
+                let response = HttpResponse::bad_request(reason);
+                return write_response(reader.get_mut(), &response, true);
             }
         }
-        if let Some(v) = header_value(&header, "x-hom-trace") {
-            trace = Some(v.to_string());
-        }
     }
-    let mut reader = head.into_inner();
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let request = HttpRequest {
-        method,
-        path: target.split('?').next().unwrap_or(&target).to_string(),
-        body,
-        trace,
-    };
-    let response = handler(&request);
-    write_response(conn, &response)
 }
 
-fn write_response(conn: &mut TcpStream, response: &HttpResponse) -> std::io::Result<()> {
-    write!(
-        conn,
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+/// Read the body of the request `head` starts, dispatch it and write
+/// the response. `Ok(true)` keeps the connection open; `Err` is a
+/// request to reject with `400`.
+fn serve_request(
+    reader: &mut BufReader<TcpStream>,
+    head: Head,
+    handler: &Handler,
+) -> io::Result<Result<bool, &'static str>> {
+    let mut parts = head.start.split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Ok(Err("bad request line"));
+    };
+    let content_length = head.content_length.unwrap_or(0);
+    if content_length > MAX_BODY {
+        return Ok(Err("bad content-length"));
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    let close = head.close || parts.next() == Some("HTTP/1.0");
+    let request = HttpRequest {
+        method: method.to_string(),
+        path: target.split('?').next().unwrap_or(target).to_string(),
+        body,
+        trace: head.trace,
+    };
+    let response = handler(&request);
+    write_response(reader.get_mut(), &response, close)?;
+    Ok(Ok(!close))
+}
+
+/// Write `response`, head and body in one write. `close` announces that
+/// the server closes the connection after it.
+fn write_response(conn: &mut TcpStream, response: &HttpResponse, close: bool) -> io::Result<()> {
+    let mut msg = Vec::with_capacity(128 + response.body.len());
+    // Writes into a Vec cannot fail.
+    let _ = write!(
+        msg,
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}\r\n",
         response.status,
         response.content_type,
-        response.body.len()
-    )?;
-    conn.write_all(&response.body)?;
-    conn.flush()
+        response.body.len(),
+        if close { "Connection: close\r\n" } else { "" }
+    );
+    msg.extend_from_slice(&response.body);
+    conn.write_all(&msg)
 }
 
 #[cfg(test)]
@@ -494,6 +735,152 @@ mod tests {
         let mut status_line = String::new();
         BufReader::new(conn).read_line(&mut status_line).unwrap();
         assert!(status_line.contains("400"), "{status_line:?}");
+    }
+
+    /// A client connection over a raw socket, for sending hand-made bytes
+    /// and reading the replies with the client's own reader.
+    fn raw_connection(addr: SocketAddr) -> Connection {
+        Connection::open(addr, Duration::from_secs(5)).expect("connects")
+    }
+
+    #[test]
+    fn one_connection_carries_many_requests() {
+        let server = echo_server();
+        let pool = ConnectionPool::new(Duration::from_secs(5));
+        let mut conn = pool.checkout(server.addr()).expect("connects");
+        let local = conn.reader.get_ref().local_addr().unwrap();
+        for payload in [b"first".as_slice(), b"second, longer", b""] {
+            conn.send("POST", "/echo", payload, None, false).unwrap();
+            assert_eq!(conn.receive().unwrap(), (200, payload.to_vec()));
+            assert!(
+                conn.reusable,
+                "a complete keep-alive reply leaves it reusable"
+            );
+        }
+        pool.checkin(conn);
+        let (status, body) = pool
+            .request(server.addr(), "GET", "/hello", &[], None)
+            .unwrap();
+        assert_eq!((status, body.as_slice()), (200, b"GET ok".as_slice()));
+        let again = pool.checkout(server.addr()).unwrap();
+        assert_eq!(
+            again.reader.get_ref().local_addr().unwrap(),
+            local,
+            "the pool hands the idle connection back, not a new one"
+        );
+    }
+
+    #[test]
+    fn connection_close_still_closes_the_connection() {
+        let server = echo_server();
+        // The server honours a client's `Connection: close`: the reply
+        // says so, and the socket reaches EOF right after it.
+        let mut conn = raw_connection(server.addr());
+        conn.send("GET", "/hello", &[], None, true).unwrap();
+        assert_eq!(conn.receive().unwrap(), (200, b"GET ok".to_vec()));
+        assert!(!conn.reusable, "a closing reply is never reused");
+        let mut rest = Vec::new();
+        assert_eq!(
+            conn.reader.read_to_end(&mut rest).unwrap(),
+            0,
+            "server closed"
+        );
+
+        // The one-shot client asks for the close, and reads a framed
+        // reply without waiting for the peer's EOF.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn);
+            let mut head = String::new();
+            while !head.ends_with("\r\n\r\n") {
+                reader.read_line(&mut head).unwrap();
+            }
+            reader
+                .get_mut()
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+                .unwrap();
+            // Hold the socket open until the client has its answer.
+            let _ = reader.read_line(&mut String::new());
+            head
+        });
+        let reply = http_request(addr, "GET", "/x", &[], Duration::from_secs(5)).unwrap();
+        assert_eq!(reply, (200, b"ok".to_vec()));
+        let head = peer.join().unwrap();
+        assert!(head.contains("Connection: close\r\n"), "{head:?}");
+    }
+
+    #[test]
+    fn caps_apply_to_every_request_on_a_connection() {
+        let server = echo_server();
+        // An oversized head on the *second* request is still a 400.
+        let mut conn = raw_connection(server.addr());
+        conn.send("GET", "/hello", &[], None, false).unwrap();
+        assert_eq!(conn.receive().unwrap().0, 200);
+        let junk = "a".repeat(MAX_HEAD as usize + 1);
+        // The server may answer and close before the write completes.
+        let _ = conn.send("GET", "/hello", &[], Some(&junk), false);
+        let (status, body) = conn.receive().unwrap();
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+        assert!(!conn.reusable, "a rejected request closes the connection");
+
+        // So is a body over the cap on the second request.
+        let mut conn = raw_connection(server.addr());
+        conn.send("POST", "/echo", b"hi", None, false).unwrap();
+        assert_eq!(conn.receive().unwrap(), (200, b"hi".to_vec()));
+        let oversized = format!(
+            "POST /echo HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        conn.reader
+            .get_mut()
+            .write_all(oversized.as_bytes())
+            .unwrap();
+        let (status, body) = conn.receive().unwrap();
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+        assert!(!conn.reusable);
+    }
+
+    #[test]
+    fn an_idle_persistent_connection_does_not_block_other_clients() {
+        let server = echo_server();
+        let mut idle = raw_connection(server.addr());
+        idle.send("GET", "/hello", &[], None, false).unwrap();
+        assert_eq!(idle.receive().unwrap().0, 200);
+        // The server thread of `idle` now waits for its next request…
+        let t0 = std::time::Instant::now();
+        let (status, _) = http_request(server.addr(), "GET", "/hello", &[], Duration::from_secs(5))
+            .expect("served concurrently");
+        assert_eq!(status, 200);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "request queued behind the idle connection"
+        );
+        // …and the idle connection still serves afterwards.
+        idle.send("GET", "/hello", &[], None, false).unwrap();
+        assert_eq!(idle.receive().unwrap(), (200, b"GET ok".to_vec()));
+    }
+
+    #[test]
+    fn dropping_a_server_closes_its_idle_connections_promptly() {
+        let server = echo_server();
+        let addr = server.addr();
+        let pool = ConnectionPool::new(Duration::from_secs(5));
+        pool.request(addr, "GET", "/hello", &[], None).unwrap();
+        assert_eq!(pool.idle().values().flatten().count(), 1, "one pooled");
+        let t0 = std::time::Instant::now();
+        drop(server);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "drop waited {:?} on an idle keep-alive connection",
+            t0.elapsed()
+        );
+        // The pooled connection is found closed before any write, and
+        // the fresh connect it falls back to is refused.
+        let err = pool.checkout(addr).err().expect("nobody listening");
+        assert!(matches!(err, HttpError::Connect(_)), "{err}");
+        assert_eq!(pool.idle().values().flatten().count(), 0);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! The pieces, bottom-up:
 //!
 //! * [`http`] — the dependency-free HTTP/1.1 plumbing (blocking client
-//!   with deadlines, threaded server). A dead worker is a typed error
-//!   within the timeout, never a hang.
+//!   with deadlines and pooled keep-alive connections, threaded server).
+//!   A dead worker is a typed error within the timeout, never a hang.
 //! * [`wire`] — JSONL request/response codec mirroring
 //!   [`hom_serve::Request`], with shortest-round-trip float rendering
 //!   so attribute values cross the wire **bit-exactly** (the same

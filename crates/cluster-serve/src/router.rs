@@ -5,7 +5,9 @@
 //! whose two lock modes are the cluster's whole consistency story:
 //!
 //! * **read lock** — traffic. [`Router::submit`] splits a batch by ring
-//!   owner, forwards each sub-batch in parallel, and merges the
+//!   owner, forwards each sub-batch over a pooled keep-alive connection
+//!   (every sub-batch is written before any reply is read, so the
+//!   workers run in parallel with no forwarder threads), and merges the
 //!   responses back into request order. Any number of batches run
 //!   concurrently.
 //! * **write lock** — reconfiguration. [`Router::swap`] (cluster-wide
@@ -54,6 +56,13 @@
 //! workers' streams, which the error reports so an operator can decide
 //! between retry and recovery — the safe default is to restart the
 //! worker from its durable store and retry the batch).
+//!
+//! Connections to workers are pooled and reused (see [`crate::http`]),
+//! but a request is never resent: a pooled connection the worker has
+//! closed — say it restarted — is found before the write and replaced
+//! by a fresh connect, while a failure after a request was written is a
+//! [`ClusterError::WorkerDown`], because a resent `/submit` would apply
+//! its steps twice.
 
 use std::fmt;
 use std::net::SocketAddr;
@@ -66,7 +75,7 @@ use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
 use hom_serve::{Request, Response, StreamId};
 
-use crate::http::{http_request_traced, HttpError, HttpRequest, HttpResponse, HttpServer};
+use crate::http::{ConnectionPool, HttpError, HttpRequest, HttpResponse, HttpServer};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::wire::{self, JsonParser};
 
@@ -289,7 +298,8 @@ struct Topology {
 pub struct Router {
     topology: RwLock<Topology>,
     vnodes: usize,
-    timeout: Duration,
+    /// Idle keep-alive connections to the workers.
+    pool: ConnectionPool,
     /// The router's own span sink: just a [`TraceBuffer`] — the router
     /// has no aggregates worth keeping, its spans exist to stitch the
     /// cross-process tree together.
@@ -342,7 +352,7 @@ impl Router {
         Ok(Router {
             topology: RwLock::new(Topology { workers, ring }),
             vnodes,
-            timeout,
+            pool: ConnectionPool::new(timeout),
             obs: Obs::new(Arc::clone(&traces)),
             traces,
             seq: AtomicU64::new(0),
@@ -437,27 +447,16 @@ impl Router {
         ctx: Option<TraceContext>,
     ) -> Result<Vec<u8>, ClusterError> {
         let header = ctx.filter(TraceContext::is_active).map(|c| c.to_header());
-        let (status, payload) =
-            http_request_traced(addr, method, path, body, self.timeout, header.as_deref())
-                .map_err(|e: HttpError| ClusterError::WorkerDown {
-                    worker,
-                    addr,
-                    what: e.to_string(),
-                })?;
-        if status != 200 {
-            return Err(ClusterError::BadResponse {
-                worker,
-                what: format!(
-                    "{path} -> {status}: {}",
-                    String::from_utf8_lossy(&payload).trim()
-                ),
-            });
-        }
-        Ok(payload)
+        let (status, payload) = self
+            .pool
+            .request(addr, method, path, body, header.as_deref())
+            .map_err(|e| worker_down(worker, addr, e))?;
+        ok_payload(worker, path, status, payload)
     }
 
     /// Apply a batch across the cluster: split by ring owner, forward
-    /// the sub-batches in parallel, merge responses back into request
+    /// the sub-batches (the workers serve them in parallel; this thread
+    /// writes all, then reads all), merge responses back into request
     /// order. All or nothing — any worker failure fails the whole batch
     /// with a typed error (no partial `Vec`, no hang; every socket has
     /// a deadline).
@@ -500,42 +499,43 @@ impl Router {
             })?;
             sub_batches.push((w, idx, body));
         }
-        // Forward in parallel: scoped threads, one per occupied worker
-        // (bounded by the worker count, so no pool is needed).
-        let results: Vec<Result<Vec<u8>, ClusterError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sub_batches
-                .iter()
-                .map(|(w, _, body)| {
-                    let topology = &topology;
-                    scope.spawn(move || {
-                        // Thread-locals don't cross the spawn: install
-                        // the trace on the forwarder thread so its
-                        // `cluster.forward` span hangs under the route
-                        // span, and the worker's spans hang under the
-                        // forward span (via the wire header).
-                        let _scope = traced.then(|| self.obs.trace_scope(ctx.child(route_id)));
-                        let fwd = traced.then(|| self.obs.span("cluster.forward"));
-                        let hop = fwd.as_ref().map(|s| ctx.child(s.id()));
-                        self.exchange_at_traced(
-                            *w,
-                            topology.workers[*w],
-                            "POST",
-                            "/submit",
-                            body.as_bytes(),
-                            hop,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("forwarder thread never panics"))
-                .collect()
-        });
+        // Fan out on this thread. First a connection per owner, so a
+        // worker that cannot be reached fails the batch before any
+        // sub-batch is sent; then every sub-batch is written; then every
+        // reply is read. The workers serve in parallel meanwhile, and
+        // this cannot deadlock: a worker reads its whole body before it
+        // replies. Each owner's `cluster.forward` span covers its
+        // connection, send and reply; the spans overlap, so they hang
+        // under the route span off the thread's span stack. Any error
+        // returns early and drops the connections in flight, so a reply
+        // left unread is never taken for the next batch's.
+        let mut legs = Vec::with_capacity(sub_batches.len());
+        for &(w, _, _) in &sub_batches {
+            let fwd = traced.then(|| self.obs.span_under("cluster.forward", route_id));
+            let addr = topology.workers[w];
+            let conn = self
+                .pool
+                .checkout(addr)
+                .map_err(|e| worker_down(w, addr, e))?;
+            legs.push((conn, fwd));
+        }
+        for ((w, _, body), (conn, fwd)) in sub_batches.iter().zip(&mut legs) {
+            let hop = fwd.as_ref().map(|s| ctx.child(s.id()).to_header());
+            conn.send("POST", "/submit", body.as_bytes(), hop.as_deref(), false)
+                .map_err(|e| worker_down(*w, topology.workers[*w], e))?;
+        }
+        let mut payloads = Vec::with_capacity(legs.len());
+        for ((w, _, _), (mut conn, fwd)) in sub_batches.iter().zip(legs) {
+            let (status, payload) = conn
+                .receive()
+                .map_err(|e| worker_down(*w, topology.workers[*w], e))?;
+            drop(fwd);
+            self.pool.checkin(conn);
+            payloads.push(ok_payload(*w, "/submit", status, payload)?);
+        }
         let _merge_span = traced.then(|| self.obs.span("cluster.merge"));
         let mut out: Vec<Option<Response>> = vec![None; batch.len()];
-        for ((w, idx, _), result) in sub_batches.iter().zip(results) {
-            let payload = result?;
+        for ((w, idx, _), payload) in sub_batches.iter().zip(payloads) {
             let text = String::from_utf8(payload).map_err(|_| ClusterError::BadResponse {
                 worker: *w,
                 what: "non-UTF-8 submit response".to_string(),
@@ -663,10 +663,11 @@ impl Router {
             return Err(ClusterError::NoWorkers);
         }
         let mut workers = topology.workers.clone();
-        workers.remove(index);
+        let removed = workers.remove(index);
         let ring = HashRing::new(workers.len(), self.vnodes);
         let migrated = self.rebalance(&topology, &workers, &ring)?;
         *topology = Topology { workers, ring };
+        self.pool.forget(removed);
         Ok(RebalanceReport {
             migrated,
             workers: topology.workers.len(),
@@ -848,25 +849,20 @@ impl Router {
                 .map(|(w, &addr)| {
                     let header = header.as_str();
                     scope.spawn(move || {
-                        let health = http_request_traced(
-                            addr,
-                            "GET",
-                            "/healthz",
-                            &[],
-                            self.timeout,
-                            Some(header),
-                        )
-                        .ok()
-                        .filter(|(status, _)| *status == 200)
-                        .and_then(|(_, body)| {
-                            let text = String::from_utf8(body).ok()?;
-                            let fields = JsonParser::new(text.trim()).object().ok()?;
-                            Some((
-                                fields.u64_field("epoch").ok()? as u32,
-                                fields.u64_field("live").ok()?,
-                                fields.u64_field("parked").ok()?,
-                            ))
-                        });
+                        let health = self
+                            .pool
+                            .request(addr, "GET", "/healthz", &[], Some(header))
+                            .ok()
+                            .filter(|(status, _)| *status == 200)
+                            .and_then(|(_, body)| {
+                                let text = String::from_utf8(body).ok()?;
+                                let fields = JsonParser::new(text.trim()).object().ok()?;
+                                Some((
+                                    fields.u64_field("epoch").ok()? as u32,
+                                    fields.u64_field("live").ok()?,
+                                    fields.u64_field("parked").ok()?,
+                                ))
+                            });
                         match health {
                             Some((epoch, live, parked)) => WorkerStatus {
                                 worker: w,
@@ -976,6 +972,34 @@ fn annotate_node(jsonl: &str, node: &str) -> String {
         }
     }
     out
+}
+
+fn worker_down(worker: usize, addr: SocketAddr, e: HttpError) -> ClusterError {
+    ClusterError::WorkerDown {
+        worker,
+        addr,
+        what: e.to_string(),
+    }
+}
+
+/// A worker's reply payload, or its non-200 status as
+/// [`ClusterError::BadResponse`] carrying the worker's error body.
+fn ok_payload(
+    worker: usize,
+    path: &str,
+    status: u16,
+    payload: Vec<u8>,
+) -> Result<Vec<u8>, ClusterError> {
+    if status != 200 {
+        return Err(ClusterError::BadResponse {
+            worker,
+            what: format!(
+                "{path} -> {status}: {}",
+                String::from_utf8_lossy(&payload).trim()
+            ),
+        });
+    }
+    Ok(payload)
 }
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {

@@ -16,7 +16,6 @@
 //! | `/migrate/snapshot` | POST | `{"stream":N}` → `{"stream":N,"snapshot":"<hex>"}`; a **non-destructive** copy ([`ServeEngine::snapshot`]) — phase 1 of the router's two-phase migration |
 //! | `/migrate/in` | POST | `{"stream":N,"snapshot":"<hex>"}` → installs the state ([`ServeEngine::restore`]; older-epoch snapshots migrate forward on arrival) — phase 2 |
 //! | `/migrate/evict` | POST | `{"stream":N}` → removes every local trace of the stream ([`ServeEngine::extract`], bytes discarded) — phase 3, sent only after the target acks `/migrate/in` |
-//! | `/migrate/out` | POST | `{"stream":N}` → `{"stream":N,"snapshot":"<hex>"}`; one-shot snapshot **and removal** ([`ServeEngine::extract`]) — an operator drain hatch, not used by the router's two-phase migration |
 //! | `/swap/prepare` | POST | raw `HOMM` model blob (`hom_core::model_codec`) → decoded, validated and **staged**; `{"epoch":N}` echoes the blob's target epoch |
 //! | `/swap/commit` | POST | `{"epoch":N}` → flips the staged model into the engine iff the target epoch matches; `{"epoch":N}` confirms |
 //! | `/quiesce` | POST | parks every live stream and commits the durable store → `{"parked":N}` |
@@ -135,7 +134,6 @@ fn dispatch(
             let _s = span("cluster.migrate_snapshot");
             migrate_snapshot(engine, &req.body)
         }
-        ("POST", "/migrate/out") => migrate_out(engine, &req.body),
         ("POST", "/migrate/in") => {
             let _s = span("cluster.migrate_in");
             migrate_in(engine, &req.body)
@@ -247,23 +245,6 @@ fn migrate_evict(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
     };
     match engine.extract(stream) {
         Some(_) => HttpResponse::ok("application/json", format!("{{\"stream\":{stream}}}\n")),
-        None => HttpResponse::not_found("stream not on this worker"),
-    }
-}
-
-fn migrate_out(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let stream = match body_fields(body).and_then(|f| f.u64_field("stream")) {
-        Ok(s) => s,
-        Err(what) => return HttpResponse::bad_request(what),
-    };
-    match engine.extract(stream) {
-        Some(bytes) => HttpResponse::ok(
-            "application/json",
-            format!(
-                "{{\"stream\":{stream},\"snapshot\":\"{}\"}}\n",
-                wire::to_hex(&bytes)
-            ),
-        ),
         None => HttpResponse::not_found("stream not on this worker"),
     }
 }

@@ -82,6 +82,20 @@ fn disk_store(tag: &str) -> (Arc<StreamStore>, std::path::PathBuf) {
     (Arc::new(store), dir)
 }
 
+/// One `Step` per record per stream, records outer.
+fn steps(records: &[StreamRecord], streams: &[u64]) -> Vec<Request> {
+    records
+        .iter()
+        .flat_map(|r| {
+            streams.iter().map(move |&stream| Request::Step {
+                stream,
+                x: r.x.to_vec(),
+                y: r.y,
+            })
+        })
+        .collect()
+}
+
 /// The first stream id (from 1) the ring sends to worker `owner`.
 fn stream_owned_by(router: &Router, owner: usize) -> u64 {
     (1..)
@@ -107,16 +121,7 @@ fn dead_worker_mid_batch_is_a_typed_error_never_partial() {
     // Kill worker 1 (dropping the server stops its listener), then
     // submit a batch spanning both workers.
     drop(doomed);
-    let batch: Vec<Request> = test[..5]
-        .iter()
-        .flat_map(|r| {
-            [s0, s1].into_iter().map(move |stream| Request::Step {
-                stream,
-                x: r.x.to_vec(),
-                y: r.y,
-            })
-        })
-        .collect();
+    let batch = steps(&test[..5], &[s0, s1]);
     let t0 = Instant::now();
     let err = router
         .submit(&batch)
@@ -133,17 +138,95 @@ fn dead_worker_mid_batch_is_a_typed_error_never_partial() {
         other => panic!("expected WorkerDown, got {other}"),
     }
 
-    // A batch entirely on the surviving worker still serves.
-    let ok_batch: Vec<Request> = test[..5]
-        .iter()
-        .map(|r| Request::Step {
-            stream: s0,
-            x: r.x.to_vec(),
-            y: r.y,
-        })
-        .collect();
-    let responses = router.submit(&ok_batch).expect("survivor still serves");
+    // A batch entirely on the surviving worker still serves, with the
+    // answers one engine gives: the failed batch applied nothing (it
+    // failed connecting, before any sub-batch was sent), and no reply
+    // left over from it is read as this batch's.
+    let reference = ServeEngine::new(Arc::clone(&model));
+    for r in &test[5..10] {
+        let ok_batch = steps(std::slice::from_ref(r), &[s0]);
+        let responses = router.submit(&ok_batch).expect("survivor still serves");
+        assert_eq!(responses, reference.submit(&ok_batch));
+    }
+    assert_eq!(
+        bits(&alive.engine().posterior(s0).expect("served")),
+        bits(&reference.posterior(s0).expect("reference")),
+    );
+}
+
+#[test]
+fn dropping_a_worker_with_pooled_connections_is_prompt() {
+    let (model, test) = fixture();
+    let alive = spawn_worker(&model, None);
+    let doomed = spawn_worker(&model, None);
+    let timeout = Duration::from_millis(800);
+    let router =
+        Router::new(vec![alive.addr(), doomed.addr()], DEFAULT_VNODES, timeout).expect("router");
+    let s0 = stream_owned_by(&router, 0);
+    let s1 = stream_owned_by(&router, 1);
+    router
+        .submit(&steps(&test[..5], &[s0, s1]))
+        .expect("both workers serve");
+
+    // The router's pool now holds an idle connection to each worker.
+    // Dropping one must not wait out that connection's idle deadline.
+    let t0 = Instant::now();
+    drop(doomed);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "worker drop blocked {:?} on a pooled connection",
+        t0.elapsed()
+    );
+
+    let t0 = Instant::now();
+    let err = router
+        .submit(&steps(&test[5..10], &[s0, s1]))
+        .expect_err("worker 1 is gone");
+    assert!(t0.elapsed() < timeout * 2, "failure must be prompt");
+    assert!(
+        matches!(err, ClusterError::WorkerDown { worker: 1, .. }),
+        "expected WorkerDown for worker 1, got {err}"
+    );
+    let responses = router
+        .submit(&steps(&test[10..15], &[s0]))
+        .expect("survivor still serves");
     assert_eq!(responses.len(), 5);
+    assert!(responses.iter().all(|r| r.prediction.is_some()));
+}
+
+#[test]
+fn a_worker_rebound_on_its_port_is_reached_on_a_fresh_connection() {
+    let (model, test) = fixture();
+    let w0 = spawn_worker(&model, None);
+    let w1 = spawn_worker(&model, None);
+    let router = Router::new(
+        vec![w0.addr(), w1.addr()],
+        DEFAULT_VNODES,
+        Duration::from_secs(5),
+    )
+    .expect("router");
+    let streams = [stream_owned_by(&router, 0), stream_owned_by(&router, 1)];
+    let reference = ServeEngine::new(Arc::clone(&model));
+    let drive = |records: &[StreamRecord]| {
+        for r in records {
+            let batch = steps(std::slice::from_ref(r), &streams);
+            let responses = router.submit(&batch).expect("both workers serve");
+            assert_eq!(responses, reference.submit(&batch));
+        }
+    };
+    drive(&test[..20]);
+
+    // Restart worker 1 on the same port over the same engine: the
+    // router's pooled connection to the old listener is closed, so the
+    // next batch must find that out and connect afresh.
+    let (addr, engine) = (w1.addr(), Arc::clone(w1.engine()));
+    drop(w1);
+    let w1 = WorkerServer::bind(addr, engine, Arc::new(ServeTelemetry::new())).expect("rebinds");
+    drive(&test[20..40]);
+    assert_eq!(
+        bits(&w1.engine().posterior(streams[1]).expect("served")),
+        bits(&reference.posterior(streams[1]).expect("reference")),
+    );
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //!   pointer check — no timestamps are taken, no events are built.
 //! * [`Span`] — hierarchical wall-clock timing with monotonic clocks.
 //!   Spans nest automatically through a thread-local stack, so crates
-//!   don't pass parent ids around.
+//!   don't pass parent ids around; [`Obs::span_under`] opens one with an
+//!   explicit parent, for work that overlaps on one thread.
 //! * [`Histogram`] — fixed-bucket, mergeable (across worker threads)
 //!   sample distributions, e.g. per-record prediction latency.
 //! * [`Sink`] — where events go: [`NullSink`] (nowhere), [`Recorder`]
@@ -287,6 +288,19 @@ impl Obs {
     /// Guards must drop in LIFO order on the thread that opened them —
     /// the natural shape of scoped `let _span = obs.span(...)` usage.
     pub fn span(&self, name: &'static str) -> Span {
+        self.open(name, None)
+    }
+
+    /// Open a span as a child of span `parent`, outside this thread's
+    /// span stack: it may close in any order relative to other spans,
+    /// and spans opened while it is live do not nest under it. This is
+    /// for work that overlaps on one thread — the router's per-worker
+    /// forwards, each live from its request's send to its reply.
+    pub fn span_under(&self, name: &'static str, parent: u64) -> Span {
+        self.open(name, Some(parent))
+    }
+
+    fn open(&self, name: &'static str, detached_parent: Option<u64>) -> Span {
         let Some(shared) = &self.shared else {
             return Span { state: None };
         };
@@ -295,11 +309,13 @@ impl Obs {
         // A top-level span under an active trace parents to the *remote*
         // span that initiated this work (ctx.parent_span_id is 0 when
         // untraced, so the untraced behaviour is unchanged).
-        let parent = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let parent = stack.last().copied().unwrap_or(ctx.parent_span_id);
-            stack.push(id);
-            parent
+        let parent = detached_parent.unwrap_or_else(|| {
+            SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                let parent = stack.last().copied().unwrap_or(ctx.parent_span_id);
+                stack.push(id);
+                parent
+            })
         });
         let start = Instant::now();
         shared.sink.record(&Event::SpanStart {
@@ -317,6 +333,7 @@ impl Obs {
                 trace: ctx.trace_id,
                 name,
                 start,
+                stacked: detached_parent.is_none(),
             }),
         }
     }
@@ -382,6 +399,9 @@ struct SpanState {
     trace: u64,
     name: &'static str,
     start: Instant,
+    /// Pushed on this thread's span stack (every span but
+    /// [`Obs::span_under`]'s), so it must pop in LIFO order.
+    stacked: bool,
 }
 
 /// An installed [`TraceContext`]; restores the previous context when
@@ -423,6 +443,9 @@ impl Drop for Span {
             return;
         };
         SPAN_STACK.with(|s| {
+            if !state.stacked {
+                return;
+            }
             let mut stack = s.borrow_mut();
             debug_assert_eq!(
                 stack.last().copied(),
@@ -507,6 +530,42 @@ mod tests {
             }
             other => panic!("unexpected tail events {other:?}"),
         }
+    }
+
+    #[test]
+    fn detached_spans_overlap_without_nesting() {
+        let rec = Arc::new(Recorder::new());
+        let obs = Obs::new(Arc::clone(&rec));
+        let root = obs.span("root");
+        let root_id = root.id();
+        // Two overlapping legs under root, closed out of LIFO order, with
+        // a stacked span opened while both are live.
+        let a = obs.span_under("leg", root_id);
+        let b = obs.span_under("leg", root_id);
+        assert_eq!(
+            obs.current_span(),
+            root_id,
+            "detached spans stay off the stack"
+        );
+        let inner = obs.span("inner");
+        drop(a);
+        drop(inner);
+        drop(b);
+        drop(root);
+        assert_eq!(obs.current_span(), 0);
+        let parents: Vec<(String, u64)> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                OwnedEvent::SpanEnd { name, parent, .. } if name != "root" => Some((name, parent)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(parents.len(), 3);
+        assert!(
+            parents.iter().all(|(_, p)| *p == root_id),
+            "both legs and the stacked span hang under root: {parents:?}"
+        );
     }
 
     #[test]
