@@ -26,11 +26,14 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`http`] — the dependency-free HTTP/1.1 plumbing (blocking client
-//!   with deadlines and pooled keep-alive connections, threaded server).
-//!   A dead worker is a typed error within the timeout, never a hang.
+//! * [`hom_serve::http`] — the dependency-free HTTP/1.1 plumbing
+//!   (blocking client with deadlines and pooled keep-alive connections,
+//!   threaded server), shared with `hom-serve`'s introspection listener
+//!   and re-exported here. A dead worker is a typed error within the
+//!   timeout, never a hang.
 //! * [`wire`] — JSONL request/response codec mirroring
-//!   [`hom_serve::Request`], with shortest-round-trip float rendering
+//!   [`hom_serve::Request`], read with [`hom_obs::jsonl::parse_object`]
+//!   and written with shortest-round-trip float rendering
 //!   so attribute values cross the wire **bit-exactly** (the same
 //!   property `hom-serve`'s introspection API relies on).
 //! * [`ring`] — the consistent-hash ring (FNV-1a, virtual nodes).
@@ -128,13 +131,12 @@
 
 #![warn(missing_docs)]
 
-pub mod http;
 pub mod ring;
 pub mod router;
 pub mod wire;
 pub mod worker;
 
-pub use http::{http_request, HttpError, HttpRequest, HttpResponse, HttpServer};
+pub use hom_serve::http::{http_request, HttpError, HttpRequest, HttpResponse, HttpServer};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
     ClusterConfig, ClusterConfigError, ClusterError, RebalanceReport, Router, RouterServer,

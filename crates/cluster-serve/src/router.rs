@@ -57,7 +57,7 @@
 //! between retry and recovery — the safe default is to restart the
 //! worker from its durable store and retry the batch).
 //!
-//! Connections to workers are pooled and reused (see [`crate::http`]),
+//! Connections to workers are pooled and reused (see [`hom_serve::http`]),
 //! but a request is never resent: a pooled connection the worker has
 //! closed — say it restarted — is found before the write and replaced
 //! by a fresh connect, while a failure after a request was written is a
@@ -71,13 +71,14 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use hom_core::model_epoch;
+use hom_obs::jsonl::parse_object;
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
+use hom_serve::http::{ConnectionPool, HttpError, HttpRequest, HttpResponse, HttpServer};
 use hom_serve::{Request, Response, StreamId};
 
-use crate::http::{ConnectionPool, HttpError, HttpRequest, HttpResponse, HttpServer};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::wire::{self, JsonParser};
+use crate::wire;
 
 /// Comma-separated worker addresses the router serves
 /// (e.g. `127.0.0.1:7101,127.0.0.1:7102`). Read by
@@ -399,7 +400,7 @@ impl Router {
         self.exchange_at(worker, topology.workers[worker], method, path, body)
     }
 
-    /// [`Self::exchange`] stamping a [`crate::http::TRACE_HEADER`] so
+    /// [`Self::exchange`] stamping a [`hom_serve::http::TRACE_HEADER`] so
     /// the worker's spans join the router's trace (`ctx.parent_span_id`
     /// names the router span the worker's work hangs under).
     fn exchange_traced(
@@ -744,9 +745,9 @@ impl Router {
             hop,
         )?;
         let text = std::str::from_utf8(&out).unwrap_or("");
-        let snapshot = JsonParser::new(text.trim())
-            .object()
-            .and_then(|f| f.str_field("snapshot").map(str::to_string))
+        let snapshot = parse_object(text)
+            .map_err(|e| e.what)
+            .and_then(|f| f.str("snapshot").map(str::to_string))
             .map_err(|what| ClusterError::BadResponse {
                 worker: from,
                 what: format!("migrate/snapshot: {what}"),
@@ -856,11 +857,11 @@ impl Router {
                             .filter(|(status, _)| *status == 200)
                             .and_then(|(_, body)| {
                                 let text = String::from_utf8(body).ok()?;
-                                let fields = JsonParser::new(text.trim()).object().ok()?;
+                                let fields = parse_object(&text).ok()?;
                                 Some((
-                                    fields.u64_field("epoch").ok()? as u32,
-                                    fields.u64_field("live").ok()?,
-                                    fields.u64_field("parked").ok()?,
+                                    fields.u64("epoch").ok()? as u32,
+                                    fields.u64("live").ok()?,
+                                    fields.u64("parked").ok()?,
                                 ))
                             });
                         match health {
@@ -1004,16 +1005,16 @@ fn ok_payload(
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {
     let text = std::str::from_utf8(payload).ok()?;
-    let fields = JsonParser::new(text.trim()).object().ok()?;
-    Some(fields.u64_field("epoch").ok()? as u32)
+    let fields = parse_object(text).ok()?;
+    Some(fields.u64("epoch").ok()? as u32)
 }
 
 fn parse_streams(payload: &[u8]) -> Option<Vec<StreamId>> {
     let text = std::str::from_utf8(payload).ok()?;
-    let fields = JsonParser::new(text.trim()).object().ok()?;
+    let fields = parse_object(text).ok()?;
     // Exact-integer parse: ids ≥ 2^53 must not round through f64, or
     // the rebalancer would migrate (or 404 on) the wrong stream.
-    fields.u64_array_field("streams").ok()
+    fields.u64_array("streams").ok()
 }
 
 /// The router's own HTTP face — what clients and scrapers talk to.

@@ -29,11 +29,12 @@
 //!
 //! Decoding is total: malformed lines are a typed [`WireError`] naming
 //! the line, never a panic — a router must survive any bytes a confused
-//! client POSTs at it.
+//! client POSTs at it. Lines are read with
+//! [`hom_obs::jsonl::parse_object`], whose integers stay exact `u64`s.
 
 use std::fmt;
 
-use hom_obs::jsonl::push_f64;
+use hom_obs::jsonl::{parse_object, push_f64};
 use hom_serve::{Request, Response, StreamId};
 
 /// Why a wire payload failed to encode or decode.
@@ -129,28 +130,27 @@ pub fn decode_requests(text: &str) -> Result<Vec<Request>, WireError> {
             continue;
         }
         let err = |what| WireError::BadLine { line: i + 1, what };
-        let mut p = JsonParser::new(line);
-        let fields = p.object().map_err(err)?;
-        let op = fields.str_field("op").map_err(err)?;
-        let stream = fields.u64_field("stream").map_err(err)? as StreamId;
+        let fields = parse_object(line).map_err(|e| err(e.what))?;
+        let op = fields.str("op").map_err(err)?;
+        let stream = fields.u64("stream").map_err(err)? as StreamId;
         let request = match op {
             "predict" => Request::Predict {
                 stream,
-                x: fields.f64_array_field("x").map_err(err)?,
+                x: fields.f64_array("x").map_err(err)?,
             },
             "observe" => Request::Observe {
                 stream,
-                x: fields.f64_array_field("x").map_err(err)?,
-                y: fields.u64_field("y").map_err(err)? as u32,
+                x: fields.f64_array("x").map_err(err)?,
+                y: fields.u64("y").map_err(err)? as u32,
             },
             "step" => Request::Step {
                 stream,
-                x: fields.f64_array_field("x").map_err(err)?,
-                y: fields.u64_field("y").map_err(err)? as u32,
+                x: fields.f64_array("x").map_err(err)?,
+                y: fields.u64("y").map_err(err)? as u32,
             },
             "advance" => Request::Advance {
                 stream,
-                k: fields.u64_field("k").map_err(err)? as usize,
+                k: fields.u64("k").map_err(err)? as usize,
             },
             _ => return Err(err("unknown op")),
         };
@@ -183,14 +183,10 @@ pub fn decode_responses(text: &str) -> Result<Vec<Response>, WireError> {
             continue;
         }
         let err = |what| WireError::BadLine { line: i + 1, what };
-        let mut p = JsonParser::new(line);
-        let fields = p.object().map_err(err)?;
+        let fields = parse_object(line).map_err(|e| err(e.what))?;
         out.push(Response {
-            stream: fields.u64_field("stream").map_err(err)?,
-            prediction: fields
-                .opt_u64_field("prediction")
-                .map_err(err)?
-                .map(|v| v as u32),
+            stream: fields.u64("stream").map_err(err)?,
+            prediction: fields.opt_u64("prediction").map_err(err)?.map(|v| v as u32),
         });
     }
     Ok(out)
@@ -226,265 +222,6 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, WireError> {
         out.push(digit(pair[0])? << 4 | digit(pair[1])?);
     }
     Ok(out)
-}
-
-/// The minimal JSON value this wire speaks.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    /// A token of plain digits that fits `u64` — kept exact so stream
-    /// ids above 2^53 never round through `f64`.
-    Integer(u64),
-    Number(f64),
-    String(String),
-    Array(Vec<JsonValue>),
-}
-
-/// Parsed top-level object: field name → value, preserving nothing else.
-pub(crate) struct JsonFields {
-    fields: Vec<(String, JsonValue)>,
-}
-
-impl JsonFields {
-    fn get(&self, name: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    pub(crate) fn str_field(&self, name: &str) -> Result<&str, &'static str> {
-        match self.get(name) {
-            Some(JsonValue::String(s)) => Ok(s),
-            _ => Err("missing or non-string field"),
-        }
-    }
-
-    pub(crate) fn u64_field(&self, name: &str) -> Result<u64, &'static str> {
-        match self.get(name) {
-            // Digit-only tokens parse straight to u64 (see number()),
-            // so stream ids above 2^53 never round through f64.
-            Some(&JsonValue::Integer(v)) => Ok(v),
-            _ => Err("missing or non-integer field"),
-        }
-    }
-
-    pub(crate) fn opt_u64_field(&self, name: &str) -> Result<Option<u64>, &'static str> {
-        match self.get(name) {
-            Some(JsonValue::Null) => Ok(None),
-            Some(&JsonValue::Integer(v)) => Ok(Some(v)),
-            _ => Err("missing or non-integer field"),
-        }
-    }
-
-    /// Exact unsigned-integer array — the stream-id census path. Only
-    /// integer tokens that fit `u64` are accepted: an id that arrived
-    /// fractional, negative, or too large for `u64` (and therefore
-    /// rounded through `f64`) is a typed error, never a silently wrong
-    /// stream id handed to the migration protocol.
-    pub(crate) fn u64_array_field(&self, name: &str) -> Result<Vec<u64>, &'static str> {
-        match self.get(name) {
-            Some(JsonValue::Array(items)) => items
-                .iter()
-                .map(|v| match v {
-                    &JsonValue::Integer(n) => Ok(n),
-                    _ => Err("non-integer array element"),
-                })
-                .collect(),
-            _ => Err("missing or non-array field"),
-        }
-    }
-
-    pub(crate) fn f64_array_field(&self, name: &str) -> Result<Vec<f64>, &'static str> {
-        match self.get(name) {
-            Some(JsonValue::Array(items)) => items
-                .iter()
-                .map(|v| match v {
-                    JsonValue::Number(n) => Ok(*n),
-                    // A whole-valued f64 rendered without fraction:
-                    // both conversions round the same exact decimal to
-                    // the nearest f64, so the bits round-trip.
-                    &JsonValue::Integer(n) => Ok(n as f64),
-                    _ => Err("non-numeric array element"),
-                })
-                .collect(),
-            _ => Err("missing or non-array field"),
-        }
-    }
-}
-
-/// A recursive-descent reader for the subset of JSON this wire emits:
-/// one object of string/number/null/array-of-number fields per line.
-/// (The repo's JSONL idiom — `hom_obs::jsonl` — parses trace *events*;
-/// this one parses protocol lines. Both avoid a JSON dependency.)
-pub(crate) struct JsonParser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        JsonParser {
-            bytes: text.as_bytes(),
-            at: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), &'static str> {
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err("unexpected character")
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.at).copied()
-    }
-
-    pub(crate) fn object(&mut self) -> Result<JsonFields, &'static str> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b'}') => {
-                        self.at += 1;
-                        break;
-                    }
-                    _ => return Err("expected , or } in object"),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.at != self.bytes.len() {
-            return Err("trailing bytes after object");
-        }
-        Ok(JsonFields { fields })
-    }
-
-    fn value(&mut self) -> Result<JsonValue, &'static str> {
-        match self.peek().ok_or("unexpected end of line")? {
-            b'"' => Ok(JsonValue::String(self.string()?)),
-            b'[' => {
-                self.at += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.at += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b']') => {
-                            self.at += 1;
-                            break;
-                        }
-                        _ => return Err("expected , or ] in array"),
-                    }
-                }
-                Ok(JsonValue::Array(items))
-            }
-            b'n' => {
-                if self.bytes[self.at..].starts_with(b"null") {
-                    self.at += 4;
-                    Ok(JsonValue::Null)
-                } else {
-                    Err("bad literal")
-                }
-            }
-            _ => self.number(),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, &'static str> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.at).ok_or("unterminated string")? {
-                b'"' => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.at += 1;
-                    match self.bytes.get(self.at).ok_or("unterminated escape")? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        _ => return Err("unsupported escape"),
-                    }
-                    self.at += 1;
-                }
-                &b => {
-                    // Multi-byte UTF-8 passes through untouched: the
-                    // input is a &str, so the bytes are valid UTF-8.
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[self.at..self.at + utf8_len(b)])
-                            .map_err(|_| "invalid utf-8")?,
-                    );
-                    self.at += utf8_len(b);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, &'static str> {
-        self.skip_ws();
-        let start = self.at;
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.at += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|_| "bad number")?;
-        if raw.is_empty() {
-            return Err("expected a number");
-        }
-        // Digit-only tokens that fit u64 stay exact integers (stream
-        // ids near u64::MAX must not round through f64). Everything
-        // else — fractions, signs, and whole values too big for u64,
-        // like 1e300's 301-digit rendering — parses as f64.
-        if raw.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(v) = raw.parse::<u64>() {
-                return Ok(JsonValue::Integer(v));
-            }
-        }
-        let v: f64 = raw.parse().map_err(|_| "bad number")?;
-        Ok(JsonValue::Number(v))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
@@ -634,11 +371,8 @@ mod tests {
         // u64::MAX exceeds f64's exact integer range: the census parse
         // must keep it bit-exact, or the rebalancer migrates wrong ids.
         let line = format!("{{\"streams\":[0,7,{}]}}", u64::MAX);
-        let fields = JsonParser::new(&line).object().unwrap();
-        assert_eq!(
-            fields.u64_array_field("streams").unwrap(),
-            vec![0, 7, u64::MAX]
-        );
+        let fields = parse_object(&line).unwrap();
+        assert_eq!(fields.u64_array("streams").unwrap(), vec![0, 7, u64::MAX]);
         // Fractional, negative, or u64-overflowing (rounded) elements
         // are typed errors, never truncated ids.
         for bad in [
@@ -647,8 +381,8 @@ mod tests {
             "{\"streams\":[99999999999999999999]}",
             "{\"streams\":7}",
         ] {
-            let fields = JsonParser::new(bad).object().unwrap();
-            assert!(fields.u64_array_field("streams").is_err(), "{bad}");
+            let fields = parse_object(bad).unwrap();
+            assert!(fields.u64_array("streams").is_err(), "{bad}");
         }
     }
 

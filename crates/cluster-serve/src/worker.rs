@@ -19,14 +19,20 @@
 //! | `/swap/prepare` | POST | raw `HOMM` model blob (`hom_core::model_codec`) → decoded, validated and **staged**; `{"epoch":N}` echoes the blob's target epoch |
 //! | `/swap/commit` | POST | `{"epoch":N}` → flips the staged model into the engine iff the target epoch matches; `{"epoch":N}` confirms |
 //! | `/quiesce` | POST | parks every live stream and commits the durable store → `{"parked":N}` |
-//! | `/healthz` | GET | JSON liveness: epoch, live/parked stream counts |
-//! | `/metrics` | GET | Prometheus text from the engine's [`ServeTelemetry`] aggregates — the router federates these |
+//! | `/healthz` | GET | JSON liveness: epoch, live/parked stream counts (the router's probe parses this shape) |
 //! | `/cluster/info` | GET | JSON epoch + full stream-id census ([`ServeEngine::stream_ids`]) — the rebalancer's input |
 //! | `/posterior/<id>` | GET | the stream's posterior, shortest round-trip floats (bit-exact scrape) |
-//! | `/trace/<id>` | GET | this worker's span slice of distributed trace `<id>` (fixed-width lowercase hex) as JSONL; unknown ids answer 200 with an empty body — the router federates these into the stitched tree |
+//!
+//! Every other GET is answered by `hom-serve`'s introspection routes
+//! ([`hom_serve::introspect::route`]), the ones a single-node
+//! `MetricsServer` serves: `/metrics` (Prometheus text from the
+//! engine's [`ServeTelemetry`] — the router federates these),
+//! `/trace/<id>` (this worker's span slice of a distributed trace — the
+//! router federates these into the stitched tree), `/streams/<id>`,
+//! `/shards`, `/store`, `/flight`, `/concepts` and `/slo`.
 //!
 //! Every route the router forwards carries an optional `X-HOM-Trace`
-//! header ([`crate::http::TRACE_HEADER`]); when present and
+//! header ([`hom_serve::http::TRACE_HEADER`]); when present and
 //! well-formed, the worker's handler spans — `cluster.submit` (with
 //! `cluster.decode`/`serve.batch`/`cluster.encode` under it), the
 //! `cluster.migrate_*` phases, `cluster.swap_*`, `cluster.healthz` —
@@ -45,14 +51,13 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use hom_core::{decode_model, HighOrderModel};
-use hom_obs::export::to_prometheus;
-use hom_obs::jsonl::push_f64;
-use hom_obs::trace::DUMP_CAP;
+use hom_obs::jsonl::{parse_object, push_f64, JsonObject};
 use hom_obs::TraceContext;
+use hom_serve::http::{HttpRequest, HttpResponse, HttpServer};
+use hom_serve::introspect;
 use hom_serve::{ServeEngine, ServeTelemetry, StreamId};
 
-use crate::http::{HttpRequest, HttpResponse, HttpServer};
-use crate::wire::{self, JsonParser};
+use crate::wire;
 
 /// A worker's engine plus the HTTP listener speaking the cluster
 /// protocol over it. Dropping the server stops the listener; the engine
@@ -155,35 +160,12 @@ fn dispatch(
             let _s = span("cluster.healthz");
             healthz(engine)
         }
-        ("GET", "/metrics") => {
-            engine.flush_trace();
-            HttpResponse::ok(
-                "text/plain; version=0.0.4",
-                to_prometheus(&telemetry.agg().snapshot()),
-            )
-        }
         ("GET", "/cluster/info") => cluster_info(engine),
         ("GET", path) if path.starts_with("/posterior/") => {
             posterior(engine, &path["/posterior/".len()..])
         }
-        ("GET", path) if path.starts_with("/trace/") => {
-            trace_slice(telemetry, &path["/trace/".len()..])
-        }
+        ("GET", _) => introspect::route(engine, telemetry, req),
         _ => HttpResponse::not_found("unknown route"),
-    }
-}
-
-/// This worker's span slice of one distributed trace, as JSONL. An
-/// unknown id is a **200 with an empty body** — "no spans here" is a
-/// valid answer the router's federation must be able to aggregate, not
-/// an error that would fail the whole stitched fetch.
-fn trace_slice(telemetry: &ServeTelemetry, hex: &str) -> HttpResponse {
-    match u64::from_str_radix(hex, 16) {
-        Ok(id) if id != 0 => HttpResponse::ok(
-            "application/x-ndjson",
-            telemetry.traces().slice_jsonl(id, DUMP_CAP),
-        ),
-        _ => HttpResponse::bad_request("bad trace id"),
     }
 }
 
@@ -207,9 +189,9 @@ fn submit(engine: &ServeEngine, body: &[u8], traced: bool, obs: &hom_obs::Obs) -
 }
 
 /// Parse a one-line JSON body like `{"stream":7,...}`.
-fn body_fields(body: &[u8]) -> Result<crate::wire::JsonFields, &'static str> {
+fn body_fields(body: &[u8]) -> Result<JsonObject, &'static str> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
-    JsonParser::new(text.trim()).object()
+    parse_object(text).map_err(|e| e.what)
 }
 
 /// Phase 1 of the router's two-phase migration: a **non-destructive**
@@ -218,7 +200,7 @@ fn body_fields(body: &[u8]) -> Result<crate::wire::JsonFields, &'static str> {
 /// it and sends `/migrate/evict`, so a failure anywhere in between
 /// loses nothing.
 fn migrate_snapshot(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let stream = match body_fields(body).and_then(|f| f.u64_field("stream")) {
+    let stream = match body_fields(body).and_then(|f| f.u64("stream")) {
         Ok(s) => s,
         Err(what) => return HttpResponse::bad_request(what),
     };
@@ -239,7 +221,7 @@ fn migrate_snapshot(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
 /// target owns the stream. The extracted bytes are discarded; the
 /// authoritative copy already lives on the target.
 fn migrate_evict(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let stream = match body_fields(body).and_then(|f| f.u64_field("stream")) {
+    let stream = match body_fields(body).and_then(|f| f.u64("stream")) {
         Ok(s) => s,
         Err(what) => return HttpResponse::bad_request(what),
     };
@@ -254,7 +236,7 @@ fn migrate_in(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
         Ok(f) => f,
         Err(what) => return HttpResponse::bad_request(what),
     };
-    let (stream, hex) = match (fields.u64_field("stream"), fields.str_field("snapshot")) {
+    let (stream, hex) = match (fields.u64("stream"), fields.str("snapshot")) {
         (Ok(s), Ok(h)) => (s, h),
         (Err(what), _) | (_, Err(what)) => return HttpResponse::bad_request(what),
     };
@@ -287,7 +269,7 @@ fn swap_prepare(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8
 }
 
 fn swap_commit(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8]) -> HttpResponse {
-    let epoch = match body_fields(body).and_then(|f| f.u64_field("epoch")) {
+    let epoch = match body_fields(body).and_then(|f| f.u64("epoch")) {
         Ok(e) => e as u32,
         Err(what) => return HttpResponse::bad_request(what),
     };

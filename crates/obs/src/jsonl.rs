@@ -7,9 +7,11 @@
 //! serialized sparsely as `"buckets": [[bucket, count], …]` (non-zero
 //! buckets only) plus exact `count` / `sum` / `min` / `max`.
 //!
-//! [`parse_line`] is a self-contained JSON reader (the workspace's
-//! `serde_json` shim only writes), strict enough to catch format drift in
-//! CI but tolerant of unknown fields, so the format can grow.
+//! [`parse_line`] reads a line back, strict enough to catch format
+//! drift in CI but tolerant of unknown fields, so the format can grow.
+//! It sits on [`parse_object`], the workspace's one JSON reader (the
+//! `serde_json` shim only writes): integers stay exact `u64`s, and a
+//! string is scanned in one linear pass.
 
 use std::fmt::Write as _;
 
@@ -195,218 +197,326 @@ fn err<T>(reason: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// A parsed JSON value (the subset the trace format uses).
+/// Text that is not the JSON [`parse_object`] reads: a fixed reason and
+/// the byte offset it was found at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyntaxError {
+    /// What was wrong, e.g. `"unterminated string"`.
+    pub what: &'static str,
+    /// Byte offset into the parsed text.
+    pub at: usize,
+}
+
+/// A parsed JSON value.
 ///
-/// Non-negative integers keep their exact `u64` value in [`Json::Int`]
-/// rather than passing through `f64`: trace ids are FNV-1a hashes near
-/// 2⁶³, where `f64` has a 1024-ulp grid — rounding one would silently
-/// re-key every span of a stitched trace.
+/// A number token of plain decimal digits that fits `u64` is
+/// [`Json::Int`], kept exact: trace ids are FNV-1a hashes near 2⁶³ and
+/// stream ids span all of `u64`, where `f64` has a grid of 1024 or
+/// more, and a rounded id would silently name another trace or stream.
+/// Every other number (a sign, a fraction, an exponent, or digits too
+/// large for `u64`) is [`Json::Num`], which no `u64` accessor accepts.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub enum Json {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
+    /// An exact unsigned integer.
     Int(u64),
+    /// Any other number.
     Num(f64),
+    /// A string, unescaped.
     Str(String),
+    /// An array.
     Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    /// An object.
+    Obj(JsonObject),
 }
 
 impl Json {
-    fn as_u64(&self) -> Option<u64> {
+    /// The value of a [`Json::Int`]; `None` for anything else.
+    pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::Int(n) => Some(n),
-            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
             _ => None,
         }
     }
 
-    fn as_f64(&self) -> Option<f64> {
+    /// The value of a number. A whole-valued `f64` rendered without a
+    /// fraction parses as [`Json::Int`]; both conversions round the same
+    /// decimal to the nearest `f64`, so its bits survive.
+    pub fn as_f64(&self) -> Option<f64> {
         match *self {
             Json::Num(n) => Some(n),
             Json::Int(n) => Some(n as f64),
-            Json::Null => Some(0.0),
             _ => None,
         }
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A JSON object: its fields in input order. A name that appears twice
+/// finds its first value. The typed accessors fail with a fixed reason.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonObject {
+    fields: Vec<(String, Json)>,
 }
 
-impl<'a> Parser<'a> {
+impl JsonObject {
+    /// The value of field `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// A string field.
+    pub fn str(&self, key: &str) -> Result<&str, &'static str> {
+        match self.get(key) {
+            Some(Json::Str(s)) => Ok(s),
+            _ => Err("missing or non-string field"),
+        }
+    }
+
+    /// An exact unsigned-integer field (see [`Json::Int`]).
+    pub fn u64(&self, key: &str) -> Result<u64, &'static str> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or("missing or non-integer field")
+    }
+
+    /// An exact unsigned-integer field that may be `null`.
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, &'static str> {
+        match self.get(key) {
+            Some(Json::Null) => Ok(None),
+            Some(&Json::Int(n)) => Ok(Some(n)),
+            _ => Err("missing or non-integer field"),
+        }
+    }
+
+    /// An array of exact unsigned integers. An element that arrived
+    /// fractional, negative or too large for `u64` is an error, never a
+    /// rounded id.
+    pub fn u64_array(&self, key: &str) -> Result<Vec<u64>, &'static str> {
+        match self.get(key) {
+            Some(Json::Arr(items)) => items
+                .iter()
+                .map(|v| v.as_u64().ok_or("non-integer array element"))
+                .collect(),
+            _ => Err("missing or non-array field"),
+        }
+    }
+
+    /// An array of numbers.
+    pub fn f64_array(&self, key: &str) -> Result<Vec<f64>, &'static str> {
+        match self.get(key) {
+            Some(Json::Arr(items)) => items
+                .iter()
+                .map(|v| v.as_f64().ok_or("non-numeric array element"))
+                .collect(),
+            _ => Err("missing or non-array field"),
+        }
+    }
+}
+
+/// Parse `text` as one JSON object followed by nothing but whitespace.
+/// The workspace's one JSON reader: trace lines ([`parse_line`]), the
+/// cluster wire format and its control bodies all go through it.
+pub fn parse_object(text: &str) -> Result<JsonObject, SyntaxError> {
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        at: 0,
+    };
+    let object = p.object()?;
+    p.skip_ws();
+    if p.at != p.bytes.len() {
+        return Err(p.error("trailing bytes after object"));
+    }
+    Ok(object)
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &'static str) -> SyntaxError {
+        SyntaxError { what, at: self.at }
+    }
+
     fn skip_ws(&mut self) {
         while self
             .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
+            .get(self.at)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         {
-            self.pos += 1;
+            self.at += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes.get(self.at).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+    fn eat(&mut self, b: u8) -> Result<(), SyntaxError> {
         if self.peek() == Some(b) {
-            self.pos += 1;
+            self.at += 1;
             Ok(())
         } else {
-            err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(self.error("unexpected character"))
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        // Plain non-negative integers stay exact (see [`Json::Int`]);
-        // anything with a sign, fraction or exponent is a float.
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Json::Int(n));
-        }
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Num(n)),
-            Err(_) => err(format!("bad number {text:?} at byte {start}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex =
-                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
-                                    ParseError {
-                                        reason: "truncated \\u escape".into(),
-                                    }
-                                })?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| ParseError {
-                                    reason: "bad \\u escape".into(),
-                                })?,
-                                16,
-                            )
-                            .map_err(|_| ParseError {
-                                reason: "bad \\u escape".into(),
-                            })?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| ParseError {
-                            reason: "invalid UTF-8 in string".into(),
-                        })?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
+    fn object(&mut self) -> Result<JsonObject, SyntaxError> {
+        self.eat(b'{')?;
         let mut fields = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
+            self.at += 1;
+            return Ok(JsonObject { fields });
         }
         loop {
-            self.skip_ws();
             let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let value = self.value()?;
             fields.push((key, value));
-            self.skip_ws();
             match self.peek() {
-                Some(b',') => self.pos += 1,
+                Some(b',') => self.at += 1,
                 Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    self.at += 1;
+                    return Ok(JsonObject { fields });
                 }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(self.error("expected , or } in object")),
             }
         }
+    }
+
+    fn value(&mut self) -> Result<Json, SyntaxError> {
+        match self
+            .peek()
+            .ok_or_else(|| self.error("unexpected end of line"))?
+        {
+            b'"' => Ok(Json::Str(self.string()?)),
+            b'{' => Ok(Json::Obj(self.object()?)),
+            b'[' => {
+                self.at += 1;
+                let mut items = Vec::new();
+                if self.peek() == Some(b']') {
+                    self.at += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    match self.peek() {
+                        Some(b',') => self.at += 1,
+                        Some(b']') => {
+                            self.at += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(self.error("expected , or ] in array")),
+                    }
+                }
+            }
+            b'n' => self.literal("null", Json::Null),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            _ => self.number(),
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, SyntaxError> {
+        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+            self.at += word.len();
+            Ok(v)
+        } else {
+            Err(self.error("bad literal"))
+        }
+    }
+
+    /// One linear pass: unescaped runs are copied whole. A run ends only
+    /// at an ASCII `"` or `\`, so every slice falls on char boundaries.
+    fn string(&mut self) -> Result<String, SyntaxError> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            let run = self.at;
+            while self
+                .bytes
+                .get(self.at)
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.at += 1;
+            }
+            out.push_str(&self.text[run..self.at]);
+            match self.bytes.get(self.at) {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.at += 1;
+                    return Ok(out);
+                }
+                Some(_) => {
+                    self.at += 1;
+                    let c = match self.bytes.get(self.at) {
+                        None => return Err(self.error("unterminated escape")),
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'u') => {
+                            let code = self
+                                .text
+                                .get(self.at + 1..self.at + 5)
+                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
+                            self.at += 4;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        Some(_) => return Err(self.error("unsupported escape")),
+                    };
+                    out.push(c);
+                    self.at += 1;
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, SyntaxError> {
+        let start = self.at;
+        while self
+            .bytes
+            .get(self.at)
+            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            self.at += 1;
+        }
+        // The scanned bytes are ASCII, so this slice is on char boundaries.
+        let raw = &self.text[start..self.at];
+        if raw.is_empty() {
+            return Err(self.error("expected a number"));
+        }
+        // Only a digit-only token is an integer (`u64::from_str` would
+        // also take a leading `+`); one too large for u64 is a Num.
+        if raw.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = raw.parse() {
+                return Ok(Json::Int(n));
+            }
+        }
+        raw.parse().map(Json::Num).map_err(|_| SyntaxError {
+            what: "bad number",
+            at: start,
+        })
+    }
+}
+
+/// A trace line's float: `null` stands for a non-finite value and
+/// reads back as 0 (see [`push_f64`]).
+fn trace_f64(v: &Json) -> Option<f64> {
+    match v {
+        Json::Null => Some(0.0),
+        v => v.as_f64(),
     }
 }
 
@@ -416,40 +526,33 @@ impl<'a> Parser<'a> {
 /// required field, a malformed value or an unknown `"ev"` kind is an
 /// error — `trace_report` runs in CI precisely to catch such drift.
 pub fn parse_line(line: &str) -> Result<OwnedEvent, ParseError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let fields = parse_object(line).map_err(|e| ParseError {
+        reason: format!("{} at byte {}", e.what, e.at),
+    })?;
+    let field_error = |what: &str, key: &str| ParseError {
+        reason: format!("{what} {key:?}"),
     };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let Json::Obj(fields) = v else {
-        return err("event line is not a JSON object");
+    let get_u64 = |key: &str| fields.u64(key).map_err(|what| field_error(what, key));
+    let get_f64 = |key: &str| {
+        fields
+            .get(key)
+            .and_then(trace_f64)
+            .ok_or_else(|| field_error("missing or non-numeric field", key))
     };
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let get_u64 = |key: &str| -> Result<u64, ParseError> {
-        get(key).and_then(Json::as_u64).ok_or_else(|| ParseError {
-            reason: format!("missing or non-integer field {key:?}"),
-        })
-    };
-    let get_f64 = |key: &str| -> Result<f64, ParseError> {
-        get(key).and_then(Json::as_f64).ok_or_else(|| ParseError {
-            reason: format!("missing or non-numeric field {key:?}"),
-        })
-    };
-    let get_str = |key: &str| -> Result<String, ParseError> {
-        match get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            _ => err(format!("missing or non-string field {key:?}")),
-        }
+    let get_str = |key: &str| {
+        fields
+            .str(key)
+            .map(str::to_string)
+            .map_err(|what| field_error(what, key))
     };
 
     let ev = get_str("ev")?;
     // Optional on the wire (omitted when 0 — pre-tracing lines have no
     // trace field at all), so default rather than error.
-    let trace = get("trace").and_then(Json::as_u64).unwrap_or(0);
+    let trace = match fields.get("trace") {
+        None => 0,
+        Some(_) => get_u64("trace")?,
+    };
     match ev.as_str() {
         "span_start" => Ok(OwnedEvent::SpanStart {
             id: get_u64("id")?,
@@ -479,11 +582,11 @@ pub fn parse_line(line: &str) -> Result<OwnedEvent, ParseError> {
             t_us: get_u64("t_us")?,
         }),
         "series" => {
-            let values = match get("values") {
+            let values = match fields.get("values") {
                 Some(Json::Arr(items)) => items
                     .iter()
                     .map(|v| {
-                        v.as_f64().ok_or_else(|| ParseError {
+                        trace_f64(v).ok_or_else(|| ParseError {
                             reason: "non-numeric series value".into(),
                         })
                     })
@@ -499,7 +602,7 @@ pub fn parse_line(line: &str) -> Result<OwnedEvent, ParseError> {
             })
         }
         "hist" => {
-            let buckets = match get("buckets") {
+            let buckets = match fields.get("buckets") {
                 Some(Json::Arr(items)) => items
                     .iter()
                     .map(|pair| match pair {
@@ -644,6 +747,20 @@ mod tests {
         assert!(parse_line("{\"ev\":\"count\",\"name\":\"x\"}").is_err());
         assert!(parse_line(
             "{\"ev\":\"count\",\"span\":0,\"name\":\"x\",\"n\":1,\"t_us\":0} extra"
+        )
+        .is_err());
+        // A u64 field that is not an exact integer token is rejected,
+        // never saturated or rounded into another id.
+        assert!(
+            parse_line("{\"ev\":\"count\",\"span\":1e20,\"name\":\"x\",\"n\":1,\"t_us\":0}")
+                .is_err()
+        );
+        assert!(parse_line(
+            "{\"ev\":\"count\",\"span\":99999999999999999999,\"name\":\"x\",\"n\":1,\"t_us\":0}"
+        )
+        .is_err());
+        assert!(parse_line(
+            "{\"ev\":\"span_start\",\"id\":1,\"parent\":0,\"trace\":7.823268718516768e18,\"name\":\"s\",\"t_us\":0}"
         )
         .is_err());
     }

@@ -1,306 +1,496 @@
-//! The live introspection listener: Prometheus `/metrics` plus a JSON
-//! API over a running [`ServeEngine`].
+//! The workspace's one HTTP/1.1 stack: a blocking client with deadlines
+//! and pooled keep-alive connections, and a small threaded server, both
+//! dependency-free. The single-node introspection listener
+//! ([`crate::MetricsServer`]) and `hom-cluster-serve`'s worker and
+//! router all run on [`HttpServer`].
 //!
-//! Deliberately dependency-free — a blocking [`std::net::TcpListener`]
-//! accept loop on one spawned thread, HTTP/1.1 with `Content-Length`
-//! and `Connection: close`, one request per connection. That is all a
-//! Prometheus scraper or a `curl` needs, and it keeps the workspace's
-//! no-new-dependencies stance intact.
+//! The server reads `Content-Length`-framed requests with **deadlines**
+//! on every socket (a dead peer surfaces as a typed error within the
+//! timeout, never a hung thread), caps every request's head and body,
+//! and gives each connection **its own thread** (a slow or idle client
+//! ties up only that thread, bounded by the read deadline and a
+//! connection cap — never the accept loop or other requests).
 //!
-//! | route | payload |
-//! |---|---|
-//! | `/metrics` | Prometheus text 0.0.4 rendered from the engine's [`ServeTelemetry`] aggregates ([`hom_obs::export`]) |
-//! | `/healthz` | JSON liveness: model epoch, shard/thread counts, live/parked totals |
-//! | `/shards` | JSON per-shard `(live, parked)` occupancy |
-//! | `/streams/<id>` | JSON introspection of one stream — posterior, prior, prune order, likelihood/entropy evidence, parked/live, model epoch ([`ServeEngine::stream_info`]) |
-//! | `/flight` | the flight recorder's ring as JSONL (same format as `HOM_TRACE`), capped at [`hom_obs::trace::DUMP_CAP`] events with a `flight.truncated` trailer when clipped |
-//! | `/trace/<id>` | this node's span slice of distributed trace `<id>` (fixed-width lowercase hex) as JSONL; an unknown id is an empty 200 body — see [`hom_obs::TraceBuffer`] |
-//! | `/concepts` | Prometheus text: fleet-wide per-concept posterior mass, MAP share and MAP hits (labeled by `concept`), plus mean Eq. 7 likelihood / posterior entropy / prune depth gauges ([`ServeEngine::concept_analytics`]) |
-//! | `/slo` | Prometheus text: batch-latency SLO compliance, error-budget remaining and burn rate computed from the cumulative latency histogram ([`hom_obs::SloPolicy`]), plus deterministic slow-batch exemplars labeled `stream`/`shard` (and `trace` when the slow batch ran under a distributed trace) |
-//!
-//! Floats are rendered with Rust's shortest round-trip decimal
-//! ([`hom_obs::jsonl::push_f64`]), so a scraped posterior parses back
-//! **bit-for-bit** equal to the engine's in-memory `FilterState` — the
-//! property `examples/serve_smoke.rs` asserts end-to-end.
-//!
-//! Serving introspection never changes a prediction: every route reads
-//! through the engine's non-mutating accessors ([`ServeEngine::peek`]
-//! semantics), and `/metrics` only flushes already-accumulated trace
-//! counters into the aggregation sink.
-//!
-//! # The `HOM_METRICS_ADDR` knob
-//!
-//! [`MetricsServer::from_env`] binds to `$HOM_METRICS_ADDR` (an
-//! `ip:port` socket address, e.g. `127.0.0.1:9464`; port `0` picks a
-//! free port, see [`MetricsServer::addr`]). Unset or empty means no
-//! listener; a set-but-malformed value is a typed
-//! [`MetricsConfigError`], never silently ignored — the same
-//! no-silent-fallback convention as `HOM_SERVE_SHARDS` and `HOM_TRACE`.
+//! Connections are **persistent**. A connection carries requests until
+//! the client sends `Connection: close`, closes it, or sits idle past the
+//! server's read deadline. A [`ConnectionPool`] keeps a few idle
+//! connections per address, so an exchange costs no connect, no new
+//! server thread and no socket left in `TIME_WAIT`. The one-shot
+//! [`http_request`] is the same client with `Connection: close`. Every
+//! message — request or response — goes out in one write, head and body
+//! together, so Nagle's algorithm and delayed ACKs cannot stall a
+//! persistent connection.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use hom_obs::exemplar::push_exemplars;
-use hom_obs::jsonl::push_f64;
-use hom_obs::trace::DUMP_CAP;
-use hom_obs::{export, AggSink, Fanout, FlightRecorder, Histogram, Obs, TraceBuffer};
+/// Bodies above this size are rejected by the server (64 MiB) — far
+/// above any real model blob or batch, low enough that a corrupt
+/// `Content-Length` cannot OOM a worker.
+const MAX_BODY: usize = 64 << 20;
 
-use crate::engine::ServeEngine;
-use crate::request::StreamId;
+/// The request/status line plus headers must fit this budget (16 KiB,
+/// either direction) — a peer streaming an endless header line cannot
+/// grow a line buffer unboundedly (`MAX_BODY` bounds only bodies).
+const MAX_HEAD: u64 = 16 << 10;
 
-/// The environment variable [`MetricsServer::from_env`] reads: the
-/// `ip:port` to serve the metrics/introspection API on.
-pub const METRICS_ADDR_ENV: &str = "HOM_METRICS_ADDR";
+/// Concurrent connections one server handles. Accepts beyond the cap
+/// are answered `503` immediately — shed, not queued behind slow peers.
+const MAX_CONNECTIONS: usize = 64;
 
-/// A rejected metrics-listener configuration. Like
-/// [`crate::ConfigError`], a value the operator set deliberately is
-/// never silently ignored.
-#[derive(Debug)]
-pub enum MetricsConfigError {
-    /// The address does not parse as an `ip:port` socket address.
-    /// `from_env` says whether it came from [`METRICS_ADDR_ENV`].
-    InvalidAddr {
-        /// The rejected value.
-        got: String,
-        /// `true` when the value was read from [`METRICS_ADDR_ENV`].
-        from_env: bool,
-        /// The parser's complaint.
-        source: std::net::AddrParseError,
-    },
-    /// The address parsed but could not be bound (port in use,
-    /// unroutable interface, insufficient privileges …).
-    Bind {
-        /// The address that failed to bind.
-        addr: SocketAddr,
-        /// The OS error.
-        source: std::io::Error,
-    },
+/// How long a server connection may wait for the next request (or for
+/// the rest of one) before the server closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The distributed-trace propagation header. The value is
+/// `hom_obs::TraceContext::to_header()` — two fixed-width lowercase hex
+/// fields, `<trace_id>-<parent_span_id>`. Absent or malformed simply
+/// means "untraced"; propagation can never fail a request.
+pub const TRACE_HEADER: &str = "X-HOM-Trace";
+
+/// An HTTP exchange that failed below the protocol level. The cluster
+/// router maps these onto `ClusterError::WorkerDown` — the cluster's
+/// "never hang, never partial" contract rides on every socket
+/// operation funneling into this type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HttpError {
+    /// TCP connect failed or timed out.
+    Connect(String),
+    /// The peer accepted the connection but the exchange died (reset,
+    /// read/write timeout, premature close).
+    Io(String),
+    /// The peer spoke, but not HTTP this crate understands.
+    Malformed(&'static str),
 }
 
-impl fmt::Display for MetricsConfigError {
+impl fmt::Display for HttpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MetricsConfigError::InvalidAddr {
-                got,
-                from_env,
-                source,
-            } => {
-                let origin = if *from_env {
-                    METRICS_ADDR_ENV
-                } else {
-                    "metrics address"
-                };
-                write!(
-                    f,
-                    "invalid {origin}={got}: expected ip:port (e.g. 127.0.0.1:9464): {source}"
-                )
-            }
-            MetricsConfigError::Bind { addr, source } => {
-                write!(f, "cannot bind metrics listener on {addr}: {source}")
-            }
+            HttpError::Connect(what) => write!(f, "connect failed: {what}"),
+            HttpError::Io(what) => write!(f, "request failed: {what}"),
+            HttpError::Malformed(what) => write!(f, "malformed HTTP response: {what}"),
         }
     }
 }
 
-impl std::error::Error for MetricsConfigError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MetricsConfigError::InvalidAddr { source, .. } => Some(source),
-            MetricsConfigError::Bind { source, .. } => Some(source),
-        }
-    }
-}
+impl std::error::Error for HttpError {}
 
-/// The telemetry bundle a served engine records into: an
-/// [`AggSink`] (live aggregates for `/metrics`) fanned out with a
-/// [`FlightRecorder`] (bounded raw-event tail for `/flight` and
-/// trigger dumps), behind one [`Obs`] handle.
-///
-/// Build one, hand [`Self::obs`] to `ServeOptions { sink }` (and
-/// `AdaptOptions { sink }` if adapting), and give the bundle itself to
-/// [`MetricsServer::bind`]:
-///
-/// ```no_run
-/// # use std::sync::Arc;
-/// # use hom_serve::{MetricsServer, ServeEngine, ServeOptions, ServeTelemetry};
-/// # fn model() -> Arc<hom_core::HighOrderModel> { unimplemented!() }
-/// let telemetry = ServeTelemetry::new();
-/// let engine = Arc::new(ServeEngine::with_options(
-///     model(),
-///     &ServeOptions { sink: telemetry.obs(), ..Default::default() },
-/// ));
-/// let server = MetricsServer::bind(engine, telemetry, "127.0.0.1:0").unwrap();
-/// println!("metrics on http://{}/metrics", server.addr());
-/// ```
+/// A parsed inbound request: method, path, body.
 #[derive(Debug, Clone)]
-pub struct ServeTelemetry {
-    agg: Arc<AggSink>,
-    flight: Arc<FlightRecorder>,
-    traces: Arc<TraceBuffer>,
-    obs: Obs,
+pub struct HttpRequest {
+    /// `GET`, `POST`, …
+    pub method: String,
+    /// Path with any query string stripped.
+    pub path: String,
+    /// Raw request body (empty for bodyless requests).
+    pub body: Vec<u8>,
+    /// The [`TRACE_HEADER`] value, verbatim, when the client sent one.
+    /// Handlers parse it with `hom_obs::TraceContext::parse`; a value
+    /// that fails to parse is treated as absent.
+    pub trace: Option<String>,
 }
 
-impl Default for ServeTelemetry {
-    fn default() -> Self {
-        ServeTelemetry::new()
-    }
+/// What a handler sends back.
+#[derive(Debug, Clone)]
+pub struct HttpResponse {
+    /// Status line text, e.g. `200 OK`.
+    pub status: &'static str,
+    /// `Content-Type` header value.
+    pub content_type: &'static str,
+    /// Response body.
+    pub body: Vec<u8>,
 }
 
-impl ServeTelemetry {
-    /// A bundle with the default flight-recorder capacity
-    /// ([`FlightRecorder::DEFAULT_CAPACITY`]) and the trace buffer sized
-    /// by `$HOM_TRACE_BUFFER` (default
-    /// [`TraceBuffer::DEFAULT_CAPACITY`]).
-    ///
-    /// # Panics
-    ///
-    /// On a set-but-malformed `$HOM_TRACE_BUFFER` — like
-    /// [`Obs::from_env`], misconfiguration must surface, not silently
-    /// fall back.
-    pub fn new() -> Self {
-        Self::with_flight_capacity(FlightRecorder::DEFAULT_CAPACITY)
-    }
-
-    /// A bundle whose flight recorder retains (approximately) the last
-    /// `capacity` events; the trace buffer is sized from the
-    /// environment as in [`Self::new`] (and panics the same way).
-    pub fn with_flight_capacity(capacity: usize) -> Self {
-        let traces = TraceBuffer::from_env().unwrap_or_else(|e| panic!("{e}"));
-        Self::with_capacities(capacity, traces.capacity())
-    }
-
-    /// A bundle with both capacities explicit (no environment reads):
-    /// `flight_capacity` events of raw tail, `trace_capacity` traced
-    /// span events for `/trace/<id>`.
-    pub fn with_capacities(flight_capacity: usize, trace_capacity: usize) -> Self {
-        let agg = Arc::new(AggSink::new());
-        let flight = Arc::new(FlightRecorder::new(flight_capacity));
-        let traces = Arc::new(TraceBuffer::new(trace_capacity));
-        let obs = Obs::new(
-            Fanout::new()
-                .with(Arc::clone(&agg))
-                .with(Arc::clone(&flight))
-                .with(Arc::clone(&traces)),
-        );
-        ServeTelemetry {
-            agg,
-            flight,
-            traces,
-            obs,
+impl HttpResponse {
+    /// A `200 OK` with a text body.
+    pub fn ok(content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
+        HttpResponse {
+            status: "200 OK",
+            content_type,
+            body: body.into(),
         }
     }
 
-    /// The handle to record through — pass to `ServeOptions { sink }` /
-    /// `AdaptOptions { sink }`.
-    pub fn obs(&self) -> Obs {
-        self.obs.clone()
+    /// A `404 Not Found` with a plain-text reason.
+    pub fn not_found(reason: &str) -> Self {
+        HttpResponse {
+            status: "404 Not Found",
+            content_type: "text/plain",
+            body: format!("{reason}\n").into_bytes(),
+        }
     }
 
-    /// The live aggregates (what `/metrics` renders).
-    pub fn agg(&self) -> &Arc<AggSink> {
-        &self.agg
+    /// A `400 Bad Request` with a plain-text reason.
+    pub fn bad_request(reason: &str) -> Self {
+        HttpResponse {
+            status: "400 Bad Request",
+            content_type: "text/plain",
+            body: format!("{reason}\n").into_bytes(),
+        }
     }
 
-    /// The flight recorder (what `/flight` dumps).
-    pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
-    }
-
-    /// The per-node trace buffer (what `/trace/<id>` slices).
-    pub fn traces(&self) -> &Arc<TraceBuffer> {
-        &self.traces
+    /// A `503 Service Unavailable` with a plain-text reason — what the
+    /// server sheds connections with at the concurrency cap.
+    pub fn unavailable(reason: &str) -> Self {
+        HttpResponse {
+            status: "503 Service Unavailable",
+            content_type: "text/plain",
+            body: format!("{reason}\n").into_bytes(),
+        }
     }
 }
 
-/// The blocking HTTP listener (see the [module docs](self)). Binding
-/// spawns one accept-loop thread; dropping the server (or calling
-/// [`Self::shutdown`]) stops the loop and joins it.
-pub struct MetricsServer {
+/// One blocking HTTP request on a fresh connection, sent with
+/// `Connection: close`, with a deadline on every socket phase. Returns
+/// the numeric status code and the response body.
+pub fn http_request(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    timeout: Duration,
+) -> Result<(u16, Vec<u8>), HttpError> {
+    http_request_traced(addr, method, path, body, timeout, None)
+}
+
+/// [`http_request`] stamping a [`TRACE_HEADER`] when `trace` is `Some` —
+/// how the router propagates a `hom_obs::TraceContext` (rendered via
+/// `to_header()`) to workers.
+pub fn http_request_traced(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    timeout: Duration,
+    trace: Option<&str>,
+) -> Result<(u16, Vec<u8>), HttpError> {
+    let mut conn = Connection::open(addr, timeout)?;
+    conn.send(method, path, body, trace, true)?;
+    conn.receive()
+}
+
+fn io_error(e: io::Error) -> HttpError {
+    HttpError::Io(e.to_string())
+}
+
+/// One client connection, checked out of a [`ConnectionPool`]. It is
+/// reused only in a known state: after a reply was read in full and the
+/// server kept the connection open.
+pub struct Connection {
+    addr: SocketAddr,
+    reader: BufReader<TcpStream>,
+    /// Set by a complete reply the server did not close after, cleared
+    /// by the next send. An error or an unread reply leaves it false.
+    reusable: bool,
+}
+
+impl Connection {
+    fn open(addr: SocketAddr, timeout: Duration) -> Result<Self, HttpError> {
+        let conn = TcpStream::connect_timeout(&addr, timeout)
+            .map_err(|e| HttpError::Connect(e.to_string()))?;
+        conn.set_read_timeout(Some(timeout)).map_err(io_error)?;
+        conn.set_write_timeout(Some(timeout)).map_err(io_error)?;
+        conn.set_nodelay(true).map_err(io_error)?;
+        Ok(Connection {
+            addr,
+            reader: BufReader::new(conn),
+            reusable: false,
+        })
+    }
+
+    /// Write one request, head and body in a single write. `close` asks
+    /// the server to close the connection after its reply.
+    pub fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        trace: Option<&str>,
+        close: bool,
+    ) -> Result<(), HttpError> {
+        self.reusable = false;
+        let mut msg = Vec::with_capacity(160 + body.len());
+        // Writes into a Vec cannot fail.
+        let _ = write!(
+            msg,
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n",
+            self.addr,
+            body.len()
+        );
+        if let Some(value) = trace {
+            let _ = write!(msg, "{TRACE_HEADER}: {value}\r\n");
+        }
+        if close {
+            msg.extend_from_slice(b"Connection: close\r\n");
+        }
+        msg.extend_from_slice(b"\r\n");
+        msg.extend_from_slice(body);
+        self.reader.get_mut().write_all(&msg).map_err(io_error)
+    }
+
+    /// Read one reply in full: the status code and the body.
+    pub fn receive(&mut self) -> Result<(u16, Vec<u8>), HttpError> {
+        let head = match read_head(&mut self.reader) {
+            Ok(Some(head)) => head,
+            Ok(None) => return Err(HttpError::Io("connection closed before the reply".into())),
+            Err(HeadError::Io(e)) => return Err(io_error(e)),
+            Err(HeadError::StartTooLong) => {
+                return Err(HttpError::Malformed("status line too long"))
+            }
+            Err(HeadError::HeadersTooLarge) => {
+                return Err(HttpError::Malformed("header section too large"))
+            }
+            Err(HeadError::BadLength) => return Err(HttpError::Malformed("content-length")),
+        };
+        let status: u16 = head
+            .start
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or(HttpError::Malformed("status line"))?;
+        let mut body = Vec::new();
+        match head.content_length {
+            Some(len) if len > MAX_BODY => {
+                return Err(HttpError::Malformed("content-length too large"))
+            }
+            Some(len) => {
+                body.resize(len, 0);
+                self.reader.read_exact(&mut body).map_err(io_error)?;
+            }
+            // No length: the body runs to EOF, so the connection ends here.
+            None => {
+                self.reader.read_to_end(&mut body).map_err(io_error)?;
+            }
+        }
+        self.reusable = !head.close && head.content_length.is_some();
+        Ok((status, body))
+    }
+
+    /// Whether an idle connection can carry the next request: nothing is
+    /// buffered or waiting to be read, and the peer has not closed it. A
+    /// non-blocking peek tells a live idle socket (would block) from a
+    /// closed one (EOF or reset) without consuming anything.
+    fn is_idle_and_open(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let conn = self.reader.get_ref();
+        if conn.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let idle =
+            matches!(conn.peek(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        conn.set_nonblocking(false).is_ok() && idle
+    }
+}
+
+/// Idle connections the pool keeps per address. A constant, well under
+/// the server's [`MAX_CONNECTIONS`]: more concurrent exchanges than this
+/// open extra connections, which close after use.
+const POOL_PER_ADDR: usize = 8;
+
+/// A pooled connection idle longer than this is closed, not reused: the
+/// server drops connections idle for [`IDLE_TIMEOUT`], and reusing one
+/// at that moment would race its close.
+const POOL_MAX_IDLE: Duration = Duration::from_secs(15);
+
+/// Idle keep-alive connections, per address. A connection is checked
+/// out for one exchange and checked back in only once its reply has
+/// been read in full; any failure drops it. Nothing here ever resends a
+/// request: a pooled connection found closed is replaced *before* the
+/// write, and a failure after the write is the caller's error.
+pub struct ConnectionPool {
+    timeout: Duration,
+    idle: Mutex<HashMap<SocketAddr, Vec<(Connection, Instant)>>>,
+}
+
+impl ConnectionPool {
+    /// An empty pool whose connections carry `timeout` on every phase.
+    pub fn new(timeout: Duration) -> Self {
+        ConnectionPool {
+            timeout,
+            idle: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn idle(&self) -> MutexGuard<'_, HashMap<SocketAddr, Vec<(Connection, Instant)>>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The most recently used idle connection to `addr` that is still
+    /// open, or a fresh one. Closed or stale connections are dropped.
+    pub fn checkout(&self, addr: SocketAddr) -> Result<Connection, HttpError> {
+        loop {
+            let pooled = self.idle().get_mut(&addr).and_then(Vec::pop);
+            match pooled {
+                Some((conn, since))
+                    if since.elapsed() < POOL_MAX_IDLE && conn.is_idle_and_open() =>
+                {
+                    return Ok(conn)
+                }
+                Some(_) => continue,
+                None => return Connection::open(addr, self.timeout),
+            }
+        }
+    }
+
+    /// Return `conn` after an exchange. Kept only if its reply was read
+    /// in full and the pool for its address has room.
+    pub fn checkin(&self, conn: Connection) {
+        if !conn.reusable {
+            return;
+        }
+        let mut idle = self.idle();
+        let slot = idle.entry(conn.addr).or_default();
+        if slot.len() < POOL_PER_ADDR {
+            slot.push((conn, Instant::now()));
+        }
+    }
+
+    /// Close every idle connection to `addr`.
+    pub fn forget(&self, addr: SocketAddr) {
+        self.idle().remove(&addr);
+    }
+
+    /// One exchange on a pooled connection.
+    pub fn request(
+        &self,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        trace: Option<&str>,
+    ) -> Result<(u16, Vec<u8>), HttpError> {
+        let mut conn = self.checkout(addr)?;
+        conn.send(method, path, body, trace, false)?;
+        let reply = conn.receive()?;
+        self.checkin(conn);
+        Ok(reply)
+    }
+}
+
+/// The start line and the headers this crate reads from one message.
+struct Head {
+    /// Request line or status line, with its line ending.
+    start: String,
+    content_length: Option<usize>,
+    trace: Option<String>,
+    /// The peer sent `Connection: close`.
+    close: bool,
+}
+
+enum HeadError {
+    Io(io::Error),
+    StartTooLong,
+    HeadersTooLarge,
+    BadLength,
+}
+
+impl From<io::Error> for HeadError {
+    fn from(e: io::Error) -> Self {
+        HeadError::Io(e)
+    }
+}
+
+/// Read one message head within [`MAX_HEAD`]. `Ok(None)` means the peer
+/// closed the connection before sending a byte of it.
+fn read_head(reader: &mut BufReader<TcpStream>) -> Result<Option<Head>, HeadError> {
+    let mut capped = reader.by_ref().take(MAX_HEAD);
+    let mut start = String::new();
+    if capped.read_line(&mut start)? == 0 {
+        return Ok(None);
+    }
+    if !start.ends_with('\n') && capped.limit() == 0 {
+        return Err(HeadError::StartTooLong);
+    }
+    let mut head = Head {
+        start,
+        content_length: None,
+        trace: None,
+        close: false,
+    };
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let n = capped.read_line(&mut line)?;
+        if line == "\r\n" || line == "\n" {
+            break;
+        }
+        if (n == 0 || !line.ends_with('\n')) && capped.limit() == 0 {
+            return Err(HeadError::HeadersTooLarge);
+        }
+        if n == 0 {
+            break;
+        }
+        if let Some(v) = header_value(&line, "content-length") {
+            head.content_length = Some(v.parse().map_err(|_| HeadError::BadLength)?);
+        } else if let Some(v) = header_value(&line, TRACE_HEADER) {
+            head.trace = Some(v.to_string());
+        } else if let Some(v) = header_value(&line, "connection") {
+            head.close = v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"));
+        }
+    }
+    Ok(Some(head))
+}
+
+fn header_value<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+    let (key, value) = line.split_once(':')?;
+    if key.trim().eq_ignore_ascii_case(name) {
+        Some(value.trim())
+    } else {
+        None
+    }
+}
+
+/// The handler a server dispatches every request to.
+pub type Handler = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
+
+/// A blocking HTTP server: one accept-loop thread, requests dispatched
+/// to a [`Handler`]. Dropping the server stops the loop, closes every
+/// open connection once its in-flight request is answered, and joins
+/// the connection threads.
+pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl fmt::Debug for MetricsServer {
+impl fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MetricsServer")
+        f.debug_struct("HttpServer")
             .field("addr", &self.addr)
             .finish()
     }
 }
 
-impl MetricsServer {
-    /// Bind `addr` (an `ip:port`; port `0` picks a free one — read it
-    /// back with [`Self::addr`]) and start serving the engine's
-    /// introspection API on a background thread.
-    pub fn bind(
-        engine: Arc<ServeEngine>,
-        telemetry: ServeTelemetry,
-        addr: &str,
-    ) -> Result<Self, MetricsConfigError> {
-        Self::bind_inner(engine, telemetry, addr, false)
-    }
-
-    /// Bind to `$HOM_METRICS_ADDR` when set: `Ok(None)` when unset or
-    /// empty (no listener — the common non-operational case), a typed
-    /// [`MetricsConfigError`] when set but malformed or unbindable.
-    pub fn from_env(
-        engine: Arc<ServeEngine>,
-        telemetry: ServeTelemetry,
-    ) -> Result<Option<Self>, MetricsConfigError> {
-        match std::env::var(METRICS_ADDR_ENV) {
-            Ok(addr) if !addr.is_empty() => {
-                Self::bind_inner(engine, telemetry, &addr, true).map(Some)
-            }
-            _ => Ok(None),
-        }
-    }
-
-    fn bind_inner(
-        engine: Arc<ServeEngine>,
-        telemetry: ServeTelemetry,
-        addr: &str,
-        from_env: bool,
-    ) -> Result<Self, MetricsConfigError> {
-        let addr: SocketAddr = addr
-            .parse()
-            .map_err(|source| MetricsConfigError::InvalidAddr {
-                got: addr.to_string(),
-                from_env,
-                source,
-            })?;
-        let listener =
-            TcpListener::bind(addr).map_err(|source| MetricsConfigError::Bind { addr, source })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|source| MetricsConfigError::Bind { addr, source })?;
+impl HttpServer {
+    /// Bind `addr` (port `0` picks a free one; read it back with
+    /// [`Self::addr`]) and serve `handler` on a background thread named
+    /// `thread_name`.
+    pub fn bind(addr: SocketAddr, thread_name: &str, handler: Handler) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let loop_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name("hom-metrics".into())
-            .spawn(move || accept_loop(listener, engine, telemetry, loop_stop))
-            .expect("spawning the metrics thread");
-        Ok(MetricsServer {
+            .name(thread_name.to_string())
+            .spawn(move || accept_loop(listener, handler, loop_stop))?;
+        Ok(HttpServer {
             addr,
             stop,
             handle: Some(handle),
         })
     }
 
-    /// The address actually bound — what to scrape, and where the
-    /// OS-chosen port of a `:0` bind shows up.
+    /// The address actually bound.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Stop accepting, join the listener thread. Equivalent to dropping
-    /// the server, but explicit at call sites that care about ordering.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
@@ -308,459 +498,405 @@ impl MetricsServer {
             return;
         };
         self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = handle.join();
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    engine: Arc<ServeEngine>,
-    telemetry: ServeTelemetry,
-    stop: Arc<AtomicBool>,
-) {
-    for conn in listener.incoming() {
+/// A server's open connections, keyed by accept order: what the
+/// connection cap counts, and what stopping the server shuts down.
+type OpenConnections = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+fn lock_open(open: &OpenConnections) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    open.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
+    let open: OpenConnections = Arc::default();
+    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, conn) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(mut conn) = conn else { continue };
-        // One request per connection; any I/O error just drops the
-        // connection — introspection must never take serving down.
-        let _ = handle_connection(&mut conn, &engine, &telemetry);
+        conn_threads.retain(|h| !h.is_finished());
+        // One thread per connection: a slow or idle peer ties up only
+        // its own thread (bounded by the read deadline), never the
+        // accept loop or other requests. Beyond the cap, shed promptly.
+        {
+            let mut open_now = lock_open(&open);
+            if open_now.len() >= MAX_CONNECTIONS {
+                drop(open_now);
+                let _ = write_response(
+                    &mut conn,
+                    &HttpResponse::unavailable("connection limit"),
+                    true,
+                );
+                continue;
+            }
+            let Ok(registered) = conn.try_clone() else {
+                continue;
+            };
+            open_now.insert(id, registered);
+        }
+        let handler = Arc::clone(&handler);
+        let thread_open = Arc::clone(&open);
+        let spawned = std::thread::Builder::new()
+            .name("hom-http-conn".to_string())
+            .spawn(move || {
+                // An I/O error drops the connection — a broken client
+                // must never take the node down.
+                let _ = serve_connection(conn, &handler);
+                // The registered clone is the socket's last handle:
+                // dropping it closes the connection.
+                lock_open(&thread_open).remove(&id);
+            });
+        if let Ok(handle) = spawned {
+            conn_threads.push(handle);
+        } else {
+            // Spawn failure (thread exhaustion): the closure — and with
+            // it the connection — was dropped without running.
+            lock_open(&open).remove(&id);
+        }
+    }
+    // Stopping: shut the read side of every open connection. A thread
+    // waiting for its connection's next request wakes to EOF at once
+    // instead of at the idle deadline; a request already read is still
+    // answered before its thread exits.
+    for conn in lock_open(&open).values() {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
+    for handle in conn_threads {
+        let _ = handle.join();
     }
 }
 
-fn handle_connection(
-    conn: &mut TcpStream,
-    engine: &ServeEngine,
-    telemetry: &ServeTelemetry,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the headers so well-behaved clients see a clean close.
-    let mut header = String::new();
+/// Serve requests on one connection until the peer closes it, asks for
+/// `Connection: close` (or speaks HTTP/1.0), sends a request this
+/// server rejects, or stays idle past [`IDLE_TIMEOUT`].
+fn serve_connection(conn: TcpStream, handler: &Handler) -> io::Result<()> {
+    // A peer that connects and never writes must not pin its thread
+    // forever: every inbound socket gets a generous fixed deadline.
+    conn.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    conn.set_write_timeout(Some(IDLE_TIMEOUT))?;
+    conn.set_nodelay(true)?;
+    let mut reader = BufReader::new(conn);
     loop {
-        header.clear();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header == "\r\n" || header == "\n" {
-            break;
+        let outcome = match read_head(&mut reader) {
+            Ok(None) => return Ok(()),
+            Ok(Some(head)) => serve_request(&mut reader, head, handler)?,
+            Err(HeadError::Io(e)) => return Err(e),
+            Err(HeadError::StartTooLong) => Err("request line too long"),
+            Err(HeadError::HeadersTooLarge) => Err("header section too large"),
+            Err(HeadError::BadLength) => Err("bad content-length"),
+        };
+        match outcome {
+            Ok(true) => {}
+            Ok(false) => return Ok(()),
+            // The rest of the stream is in an unknown state: answer, close.
+            Err(reason) => {
+                let response = HttpResponse::bad_request(reason);
+                return write_response(reader.get_mut(), &response, true);
+            }
         }
     }
+}
 
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => return respond(conn, "400 Bad Request", "text/plain", "bad request\n"),
+/// Read the body of the request `head` starts, dispatch it and write
+/// the response. `Ok(true)` keeps the connection open; `Err` is a
+/// request to reject with `400`.
+fn serve_request(
+    reader: &mut BufReader<TcpStream>,
+    head: Head,
+    handler: &Handler,
+) -> io::Result<Result<bool, &'static str>> {
+    let mut parts = head.start.split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Ok(Err("bad request line"));
     };
-    if method != "GET" {
-        return respond(
-            conn,
-            "405 Method Not Allowed",
-            "text/plain",
-            "only GET is served\n",
+    let content_length = head.content_length.unwrap_or(0);
+    if content_length > MAX_BODY {
+        return Ok(Err("bad content-length"));
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    let close = head.close || parts.next() == Some("HTTP/1.0");
+    let request = HttpRequest {
+        method: method.to_string(),
+        path: target.split('?').next().unwrap_or(target).to_string(),
+        body,
+        trace: head.trace,
+    };
+    let response = handler(&request);
+    write_response(reader.get_mut(), &response, close)?;
+    Ok(Ok(!close))
+}
+
+/// Write `response`, head and body in one write. `close` announces that
+/// the server closes the connection after it.
+fn write_response(conn: &mut TcpStream, response: &HttpResponse, close: bool) -> io::Result<()> {
+    let mut msg = Vec::with_capacity(128 + response.body.len());
+    // Writes into a Vec cannot fail.
+    let _ = write!(
+        msg,
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}\r\n",
+        response.status,
+        response.content_type,
+        response.body.len(),
+        if close { "Connection: close\r\n" } else { "" }
+    );
+    msg.extend_from_slice(&response.body);
+    conn.write_all(&msg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn echo_server() -> HttpServer {
+        HttpServer::bind(
+            "127.0.0.1:0".parse().unwrap(),
+            "test-echo",
+            Arc::new(|req: &HttpRequest| match req.path.as_str() {
+                "/echo" => HttpResponse::ok("application/octet-stream", req.body.clone()),
+                "/hello" => HttpResponse::ok("text/plain", format!("{} ok", req.method)),
+                "/trace-echo" => HttpResponse::ok(
+                    "text/plain",
+                    req.trace.clone().unwrap_or_else(|| "untraced".to_string()),
+                ),
+                _ => HttpResponse::not_found("nope"),
+            }),
+        )
+        .expect("binds")
+    }
+
+    #[test]
+    fn get_and_post_round_trip() {
+        let server = echo_server();
+        let t = Duration::from_secs(5);
+        let (status, body) = http_request(server.addr(), "GET", "/hello", &[], t).unwrap();
+        assert_eq!((status, body.as_slice()), (200, b"GET ok".as_slice()));
+
+        let payload: Vec<u8> = (0..=255u8).collect();
+        let (status, body) = http_request(server.addr(), "POST", "/echo", &payload, t).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, payload, "binary body round-trips byte-exactly");
+
+        let (status, _) = http_request(server.addr(), "GET", "/missing", &[], t).unwrap();
+        assert_eq!(status, 404);
+    }
+
+    #[test]
+    fn trace_header_propagates_and_absence_means_untraced() {
+        let server = echo_server();
+        let t = Duration::from_secs(5);
+        let ctx = "00000000deadbeef-0000000000000007";
+        let (status, body) =
+            http_request_traced(server.addr(), "GET", "/trace-echo", &[], t, Some(ctx)).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, ctx.as_bytes(), "header value arrives verbatim");
+
+        let (status, body) = http_request(server.addr(), "GET", "/trace-echo", &[], t).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, b"untraced", "no header means None, not empty");
+    }
+
+    #[test]
+    fn a_slow_client_does_not_block_other_requests() {
+        let server = echo_server();
+        // An idle connection that never sends a request…
+        let _idle = TcpStream::connect(server.addr()).expect("connects");
+        // …must not stall a real client behind its 30s read deadline.
+        let t0 = std::time::Instant::now();
+        let (status, body) =
+            http_request(server.addr(), "GET", "/hello", &[], Duration::from_secs(5))
+                .expect("served concurrently");
+        assert_eq!((status, body.as_slice()), (200, b"GET ok".as_slice()));
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "request queued behind the idle connection"
         );
     }
-    let path = target.split('?').next().unwrap_or(target);
 
-    match path {
-        "/metrics" => {
-            // Move the engine's accumulated counters/histograms into the
-            // aggregation sink so the scrape reflects the latest traffic.
-            engine.flush_trace();
-            let body = export::to_prometheus(&telemetry.agg().snapshot());
-            respond(
-                conn,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
+    #[test]
+    fn endless_header_line_is_rejected_not_buffered() {
+        let server = echo_server();
+        let mut conn = TcpStream::connect(server.addr()).expect("connects");
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write!(conn, "GET /hello HTTP/1.1\r\nX-Junk: ").unwrap();
+        // Stream far more header bytes than MAX_HEAD; the server must
+        // answer 400 instead of buffering without bound. The write may
+        // error once the server responds and closes — that's fine.
+        let _ = conn.write_all(&vec![b'a'; 32 << 10]);
+        let mut status_line = String::new();
+        BufReader::new(conn).read_line(&mut status_line).unwrap();
+        assert!(status_line.contains("400"), "{status_line:?}");
+    }
+
+    /// A client connection over a raw socket, for sending hand-made bytes
+    /// and reading the replies with the client's own reader.
+    fn raw_connection(addr: SocketAddr) -> Connection {
+        Connection::open(addr, Duration::from_secs(5)).expect("connects")
+    }
+
+    #[test]
+    fn one_connection_carries_many_requests() {
+        let server = echo_server();
+        let pool = ConnectionPool::new(Duration::from_secs(5));
+        let mut conn = pool.checkout(server.addr()).expect("connects");
+        let local = conn.reader.get_ref().local_addr().unwrap();
+        for payload in [b"first".as_slice(), b"second, longer", b""] {
+            conn.send("POST", "/echo", payload, None, false).unwrap();
+            assert_eq!(conn.receive().unwrap(), (200, payload.to_vec()));
+            assert!(
+                conn.reusable,
+                "a complete keep-alive reply leaves it reusable"
+            );
         }
-        "/concepts" => {
-            // Flush so the cumulative aggregates behind /metrics and the
-            // fold below describe the same traffic.
-            engine.flush_trace();
-            respond(
-                conn,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &concepts_prom(engine),
-            )
-        }
-        "/slo" => {
-            // Flush first: the SLO is computed over the *cumulative*
-            // batch-latency histogram in the aggregation sink, which
-            // only sees the latest interval after a flush.
-            engine.flush_trace();
-            respond(
-                conn,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &slo_prom(engine, telemetry),
-            )
-        }
-        "/healthz" => respond(conn, "200 OK", "application/json", &healthz_json(engine)),
-        "/shards" => respond(conn, "200 OK", "application/json", &shards_json(engine)),
-        "/store" => match engine.store() {
-            Some(store) => respond(conn, "200 OK", "application/json", &store_json(store)),
-            None => respond(
-                conn,
-                "404 Not Found",
-                "text/plain",
-                "no durable store configured\n",
-            ),
-        },
-        "/flight" => respond(
-            conn,
-            "200 OK",
-            "application/x-ndjson",
-            // Capped: a hot node's ring must not translate into an
-            // unbounded response body. A clipped dump ends with a
-            // `flight.truncated` count event.
-            &telemetry.flight().dump_jsonl_capped(DUMP_CAP),
-        ),
-        _ => {
-            if let Some(hex) = path.strip_prefix("/trace/") {
-                // Trace ids are fixed-width lowercase hex everywhere
-                // (header, exemplar label, this URL). An unknown id is a
-                // 200 with an empty body — "no spans here" is a valid
-                // answer the router's federation relies on.
-                return match u64::from_str_radix(hex, 16) {
-                    Ok(id) if id != 0 => respond(
-                        conn,
-                        "200 OK",
-                        "application/x-ndjson",
-                        &telemetry.traces().slice_jsonl(id, DUMP_CAP),
-                    ),
-                    _ => respond(conn, "400 Bad Request", "text/plain", "bad trace id\n"),
-                };
+        pool.checkin(conn);
+        let (status, body) = pool
+            .request(server.addr(), "GET", "/hello", &[], None)
+            .unwrap();
+        assert_eq!((status, body.as_slice()), (200, b"GET ok".as_slice()));
+        let again = pool.checkout(server.addr()).unwrap();
+        assert_eq!(
+            again.reader.get_ref().local_addr().unwrap(),
+            local,
+            "the pool hands the idle connection back, not a new one"
+        );
+    }
+
+    #[test]
+    fn connection_close_still_closes_the_connection() {
+        let server = echo_server();
+        // The server honours a client's `Connection: close`: the reply
+        // says so, and the socket reaches EOF right after it.
+        let mut conn = raw_connection(server.addr());
+        conn.send("GET", "/hello", &[], None, true).unwrap();
+        assert_eq!(conn.receive().unwrap(), (200, b"GET ok".to_vec()));
+        assert!(!conn.reusable, "a closing reply is never reused");
+        let mut rest = Vec::new();
+        assert_eq!(
+            conn.reader.read_to_end(&mut rest).unwrap(),
+            0,
+            "server closed"
+        );
+
+        // The one-shot client asks for the close, and reads a framed
+        // reply without waiting for the peer's EOF.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn);
+            let mut head = String::new();
+            while !head.ends_with("\r\n\r\n") {
+                reader.read_line(&mut head).unwrap();
             }
-            if let Some(id) = path.strip_prefix("/streams/") {
-                return match id
-                    .parse::<StreamId>()
-                    .ok()
-                    .and_then(|id| engine.stream_info(id).map(|info| stream_json(id, &info)))
-                {
-                    Some(body) => respond(conn, "200 OK", "application/json", &body),
-                    None => respond(conn, "404 Not Found", "text/plain", "no such stream\n"),
-                };
-            }
-            respond(conn, "404 Not Found", "text/plain", "no such route\n")
-        }
+            reader
+                .get_mut()
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+                .unwrap();
+            // Hold the socket open until the client has its answer.
+            let _ = reader.read_line(&mut String::new());
+            head
+        });
+        let reply = http_request(addr, "GET", "/x", &[], Duration::from_secs(5)).unwrap();
+        assert_eq!(reply, (200, b"ok".to_vec()));
+        let head = peer.join().unwrap();
+        assert!(head.contains("Connection: close\r\n"), "{head:?}");
     }
-}
 
-fn respond(
-    conn: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write!(
-        conn,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    conn.write_all(body.as_bytes())?;
-    conn.flush()
-}
+    #[test]
+    fn caps_apply_to_every_request_on_a_connection() {
+        let server = echo_server();
+        // An oversized head on the *second* request is still a 400.
+        let mut conn = raw_connection(server.addr());
+        conn.send("GET", "/hello", &[], None, false).unwrap();
+        assert_eq!(conn.receive().unwrap().0, 200);
+        let junk = "a".repeat(MAX_HEAD as usize + 1);
+        // The server may answer and close before the write completes.
+        let _ = conn.send("GET", "/hello", &[], Some(&junk), false);
+        let (status, body) = conn.receive().unwrap();
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+        assert!(!conn.reusable, "a rejected request closes the connection");
 
-fn healthz_json(engine: &ServeEngine) -> String {
-    let mut out = String::with_capacity(160);
-    out.push_str("{\"status\":\"ok\",\"model_epoch\":");
-    out.push_str(&engine.epoch().to_string());
-    out.push_str(",\"shards\":");
-    out.push_str(&engine.n_shards().to_string());
-    out.push_str(",\"threads\":");
-    out.push_str(&engine.threads().to_string());
-    out.push_str(",\"live_streams\":");
-    out.push_str(&engine.live_streams().to_string());
-    out.push_str(",\"parked_streams\":");
-    out.push_str(&engine.parked_streams().to_string());
-    out.push_str("}\n");
-    out
-}
-
-/// The durable tier's shape, counters and degraded-mode signal — the
-/// `/store` payload, everything an operator needs to answer "is my
-/// parked state actually on disk, and how much of it is garbage".
-fn store_json(store: &hom_store::StreamStore) -> String {
-    let s = store.status();
-    let health = store.health();
-    let last_error = match &health.last_error {
-        Some(e) => format!(
-            "\"{}\"",
-            e.to_string().replace('\\', "\\\\").replace('"', "\\\"")
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "{{\"parked\":{parked},\"pending_records\":{pending_records},",
-            "\"pending_bytes\":{pending_bytes},\"segments\":{segments},",
-            "\"live_bytes\":{live_bytes},\"dead_bytes\":{dead_bytes},",
-            "\"commits\":{commits},\"commit_records\":{commit_records},",
-            "\"seals\":{seals},\"compactions\":{compactions},",
-            "\"reclaimed_bytes\":{reclaimed_bytes},\"disk_unparks\":{disk_unparks},",
-            "\"io_errors\":{io_errors},\"degraded\":{degraded},",
-            "\"last_error\":{last_error},\"recovery\":{{",
-            "\"files\":{rec_files},\"records\":{rec_records},",
-            "\"streams\":{rec_streams},\"truncated_bytes\":{rec_truncated},",
-            "\"duration_ns\":{rec_ns}}}}}\n"
-        ),
-        parked = s.parked,
-        pending_records = s.pending_records,
-        pending_bytes = s.pending_bytes,
-        segments = s.segments,
-        live_bytes = s.live_bytes,
-        dead_bytes = s.dead_bytes,
-        commits = s.commits,
-        commit_records = s.commit_records,
-        seals = s.seals,
-        compactions = s.compactions,
-        reclaimed_bytes = s.reclaimed_bytes,
-        disk_unparks = s.disk_unparks,
-        io_errors = s.io_errors,
-        degraded = s.degraded,
-        last_error = last_error,
-        rec_files = s.recovery.files,
-        rec_records = s.recovery.records,
-        rec_streams = s.recovery.streams,
-        rec_truncated = s.recovery.truncated_bytes,
-        rec_ns = s.recovery.duration_ns,
-    )
-}
-
-fn shards_json(engine: &ServeEngine) -> String {
-    let mut out = String::from("{\"shards\":[");
-    for (i, (live, parked)) in engine.shard_occupancy().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"shard\":");
-        out.push_str(&i.to_string());
-        out.push_str(",\"live\":");
-        out.push_str(&live.to_string());
-        out.push_str(",\"parked\":");
-        out.push_str(&parked.to_string());
-        out.push('}');
+        // So is a body over the cap on the second request.
+        let mut conn = raw_connection(server.addr());
+        conn.send("POST", "/echo", b"hi", None, false).unwrap();
+        assert_eq!(conn.receive().unwrap(), (200, b"hi".to_vec()));
+        let oversized = format!(
+            "POST /echo HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        conn.reader
+            .get_mut()
+            .write_all(oversized.as_bytes())
+            .unwrap();
+        let (status, body) = conn.receive().unwrap();
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+        assert!(!conn.reusable);
     }
-    out.push_str("]}\n");
-    out
-}
 
-/// One unlabeled Prometheus sample with its family header.
-fn push_sample(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
-    export::push_header(out, name, kind, help);
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&export::prom_f64(value));
-    out.push('\n');
-}
-
-/// One per-concept family: a gauge sample per concept index, labeled
-/// `concept="<i>"`. Obs event names are `&'static str`, so dynamic
-/// per-concept labels render here instead of through the sink.
-fn push_per_concept(out: &mut String, name: &str, help: &str, values: &[f64]) {
-    export::push_header(out, name, "gauge", help);
-    for (c, &v) in values.iter().enumerate() {
-        out.push_str(name);
-        out.push_str("{concept=\"");
-        out.push_str(&c.to_string());
-        out.push_str("\"} ");
-        out.push_str(&export::prom_f64(v));
-        out.push('\n');
+    #[test]
+    fn an_idle_persistent_connection_does_not_block_other_clients() {
+        let server = echo_server();
+        let mut idle = raw_connection(server.addr());
+        idle.send("GET", "/hello", &[], None, false).unwrap();
+        assert_eq!(idle.receive().unwrap().0, 200);
+        // The server thread of `idle` now waits for its next request…
+        let t0 = std::time::Instant::now();
+        let (status, _) = http_request(server.addr(), "GET", "/hello", &[], Duration::from_secs(5))
+            .expect("served concurrently");
+        assert_eq!(status, 200);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "request queued behind the idle connection"
+        );
+        // …and the idle connection still serves afterwards.
+        idle.send("GET", "/hello", &[], None, false).unwrap();
+        assert_eq!(idle.receive().unwrap(), (200, b"GET ok".to_vec()));
     }
-}
 
-fn concepts_prom(engine: &ServeEngine) -> String {
-    let a = engine.concept_analytics();
-    let n = a.posterior_mass.len();
-    let mut out = String::with_capacity(768 + 128 * n);
-    push_sample(
-        &mut out,
-        "hom_concept_live_streams",
-        "gauge",
-        "live streams folded into this concept snapshot (hom-serve)",
-        a.live_streams as f64,
-    );
-    push_per_concept(
-        &mut out,
-        "hom_concept_posterior_mass",
-        "fleet-wide sum of per-stream posterior probability per concept (hom-serve)",
-        &a.posterior_mass,
-    );
-    let map_streams: Vec<f64> = a.map_streams.iter().map(|&v| v as f64).collect();
-    push_per_concept(
-        &mut out,
-        "hom_concept_map_streams",
-        "live streams whose MAP (argmax-prior) concept is this one (hom-serve)",
-        &map_streams,
-    );
-    let map_hits: Vec<f64> = a.map_hits.iter().map(|&v| v as f64).collect();
-    push_per_concept(
-        &mut out,
-        "hom_concept_map_hits",
-        "cumulative absorbed records whose MAP concept was this one (hom-serve)",
-        &map_hits,
-    );
-    push_sample(
-        &mut out,
-        "hom_concept_records_absorbed_total",
-        "counter",
-        "labeled records absorbed into the fleet evidence (hom-serve)",
-        a.absorbed as f64,
-    );
-    push_sample(
-        &mut out,
-        "hom_concept_fleet_mean_likelihood",
-        "gauge",
-        "mean Eq. 7 likelihood over all absorbed records (hom-serve)",
-        a.mean_likelihood,
-    );
-    push_sample(
-        &mut out,
-        "hom_concept_fleet_mean_entropy",
-        "gauge",
-        "mean normalized posterior entropy over live streams (hom-serve)",
-        a.mean_entropy,
-    );
-    push_sample(
-        &mut out,
-        "hom_concept_mean_prune_depth",
-        "gauge",
-        "mean concepts consulted per pruned prediction (hom-serve)",
-        a.mean_prune_depth,
-    );
-    push_sample(
-        &mut out,
-        "hom_concept_pruned_fraction",
-        "gauge",
-        "fraction of predictions that early-terminated the concept scan (hom-serve)",
-        a.pruned_fraction,
-    );
-    out
-}
-
-fn slo_prom(engine: &ServeEngine, telemetry: &ServeTelemetry) -> String {
-    let policy = engine.slo_policy();
-    let snap = telemetry.agg().snapshot();
-    let empty = Histogram::new();
-    let hist = snap.hist("serve.batch_latency_ns").unwrap_or(&empty);
-    let status = policy.status(hist);
-    let (exemplars, captured) = engine.exemplars();
-    let mut out = String::with_capacity(1024 + 128 * exemplars.len());
-    push_sample(
-        &mut out,
-        "hom_slo_objective_ns",
-        "gauge",
-        "batch latency objective in nanoseconds (hom-serve)",
-        policy.objective_ns(),
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_target",
-        "gauge",
-        "target fraction of batches within the objective (hom-serve)",
-        policy.target(),
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_batches_total",
-        "counter",
-        "batches measured against the objective (hom-serve)",
-        status.total as f64,
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_batches_good_total",
-        "counter",
-        "batches within the objective (hom-serve)",
-        status.good as f64,
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_batches_bad_total",
-        "counter",
-        "batches over the objective (hom-serve)",
-        status.bad as f64,
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_compliance",
-        "gauge",
-        "fraction of batches within the objective, 1 when idle (hom-serve)",
-        status.compliance,
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_error_budget_remaining",
-        "gauge",
-        "fraction of the error budget left, negative when exhausted (hom-serve)",
-        status.budget_remaining,
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_burn_rate",
-        "gauge",
-        "error budget burn rate, 1 burns exactly on budget (hom-serve)",
-        status.burn_rate,
-    );
-    push_sample(
-        &mut out,
-        "hom_slo_exemplars_captured_total",
-        "counter",
-        "slow-batch exemplars ever captured, including evicted (hom-serve)",
-        captured as f64,
-    );
-    push_exemplars(&mut out, "hom_slo_exemplar_batch_ns", &exemplars);
-    out
-}
-
-fn push_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
+    #[test]
+    fn dropping_a_server_closes_its_idle_connections_promptly() {
+        let server = echo_server();
+        let addr = server.addr();
+        let pool = ConnectionPool::new(Duration::from_secs(5));
+        pool.request(addr, "GET", "/hello", &[], None).unwrap();
+        assert_eq!(pool.idle().values().flatten().count(), 1, "one pooled");
+        let t0 = std::time::Instant::now();
+        drop(server);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "drop waited {:?} on an idle keep-alive connection",
+            t0.elapsed()
+        );
+        // The pooled connection is found closed before any write, and
+        // the fresh connect it falls back to is refused.
+        let err = pool.checkout(addr).err().expect("nobody listening");
+        assert!(matches!(err, HttpError::Connect(_)), "{err}");
+        assert_eq!(pool.idle().values().flatten().count(), 0);
     }
-    out.push(']');
-}
 
-fn stream_json(id: StreamId, info: &crate::engine::StreamInfo) -> String {
-    let intro = &info.introspection;
-    let mut out = String::with_capacity(96 + 20 * intro.posterior.len());
-    out.push_str("{\"stream\":");
-    out.push_str(&id.to_string());
-    out.push_str(",\"live\":");
-    out.push_str(if info.live { "true" } else { "false" });
-    out.push_str(",\"model_epoch\":");
-    out.push_str(&info.epoch.to_string());
-    out.push_str(",\"current_concept\":");
-    out.push_str(&intro.current_concept.to_string());
-    out.push_str(",\"last_likelihood\":");
-    push_f64(&mut out, intro.last_likelihood);
-    out.push_str(",\"posterior_entropy\":");
-    push_f64(&mut out, intro.posterior_entropy);
-    out.push_str(",\"posterior\":");
-    push_f64_array(&mut out, &intro.posterior);
-    out.push_str(",\"prior\":");
-    push_f64_array(&mut out, &intro.prior);
-    out.push_str(",\"order\":[");
-    for (i, &c) in intro.order.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&c.to_string());
+    #[test]
+    fn dead_peer_is_a_typed_error_not_a_hang() {
+        // Bind then drop: the port is (very likely) unbound now.
+        let addr = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let err = http_request(addr, "GET", "/healthz", &[], Duration::from_millis(500))
+            .expect_err("nobody listening");
+        assert!(
+            matches!(err, HttpError::Connect(_) | HttpError::Io(_)),
+            "{err}"
+        );
     }
-    out.push_str("]}\n");
-    out
 }

@@ -40,8 +40,9 @@
 //!   `/healthz` / `/shards` / `/streams/<id>` introspection, `/flight`
 //!   incident dumps, `/concepts` fleet concept analytics and `/slo`
 //!   batch-latency SLO compliance with deterministic slow-batch
-//!   exemplars — none of which changes a prediction (see the [`http`]
-//!   module).
+//!   exemplars — none of which changes a prediction (see the
+//!   [`introspect`] module). It runs on [`http`], the workspace's one
+//!   HTTP/1.1 server and client, which `hom-cluster-serve` shares.
 //!
 //! Per stream, the engine is proven (differential tests) bit-identical
 //! to a dedicated [`hom_core::OnlinePredictor`] — sharding, batching,
@@ -83,6 +84,7 @@
 
 pub mod engine;
 pub mod http;
+pub mod introspect;
 pub mod request;
 mod shard;
 
@@ -90,7 +92,7 @@ pub use engine::{
     ConceptAnalytics, ConfigError, ServeEngine, ServeOptions, StreamInfo, SwapError, SwapReport,
     COMPILED_ENV, FANOUT_ENV, SHARDS_ENV, SLO_BATCH_US_ENV, SLO_TARGET_ENV, THREADS_ENV,
 };
-pub use http::{MetricsConfigError, MetricsServer, ServeTelemetry, METRICS_ADDR_ENV};
+pub use introspect::{MetricsConfigError, MetricsServer, ServeTelemetry, METRICS_ADDR_ENV};
 pub use request::{Request, Response, StreamId};
 // The durable-tier types an engine embedder needs: construct a store for
 // [`ServeOptions::store`], read its health/status through

@@ -3,9 +3,10 @@
 //! to the engine's in-memory state, malformed requests get clean HTTP
 //! errors, and serving introspection never changes a prediction.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hom_classifiers::DecisionTreeLearner;
 use hom_cluster::ClusterParams;
@@ -48,7 +49,11 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
 
 fn request(addr: SocketAddr, method: &str, path: &str) -> (String, String) {
     let mut conn = TcpStream::connect(addr).expect("listener accepts");
-    write!(conn, "{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    write!(
+        conn,
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("whole response");
     let (head, body) = response
@@ -378,4 +383,54 @@ fn store_route_reports_tier_status_and_404s_without_one() {
         "recovery block missing: {body}"
     );
     server.shutdown();
+}
+
+/// A listener over a fresh engine, for the connection-handling tests.
+fn bare_server() -> MetricsServer {
+    let (model, _) = fixture();
+    let telemetry = ServeTelemetry::new();
+    let engine = Arc::new(ServeEngine::with_options(
+        model,
+        &ServeOptions {
+            sink: telemetry.obs(),
+            ..Default::default()
+        },
+    ));
+    MetricsServer::bind(engine, telemetry, "127.0.0.1:0").expect("port 0 binds")
+}
+
+/// A client that connects and never sends a byte must not hold up the
+/// listener: `/healthz` still answers within a 5 s client deadline.
+#[test]
+fn an_idle_client_does_not_stall_healthz() {
+    let server = bare_server();
+    let _idle = TcpStream::connect(server.addr()).expect("listener accepts");
+    let mut conn = TcpStream::connect(server.addr()).expect("listener accepts");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write!(
+        conn,
+        "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response)
+        .expect("answered within the client deadline");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+}
+
+/// A header line longer than the 16 KiB head cap is answered `400`,
+/// not buffered without bound.
+#[test]
+fn an_endless_header_line_is_a_400() {
+    let server = bare_server();
+    let mut conn = TcpStream::connect(server.addr()).expect("listener accepts");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write!(conn, "GET /healthz HTTP/1.1\r\nX-Junk: ").unwrap();
+    // The server may answer and close before this write completes.
+    let _ = conn.write_all(&vec![b'a'; 32 << 10]);
+    let mut status_line = String::new();
+    BufReader::new(conn)
+        .read_line(&mut status_line)
+        .expect("answered within the client deadline");
+    assert!(status_line.starts_with("HTTP/1.1 400"), "{status_line:?}");
 }

@@ -381,7 +381,11 @@ fn posterior_bits(engine: &ServeEngine) -> Vec<Vec<u64>> {
 /// returns the body.
 fn get(addr: SocketAddr, path: &str) -> String {
     let mut conn = TcpStream::connect(addr).expect("listener accepts");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: smoke\r\n\r\n").expect("request writes");
+    write!(
+        conn,
+        "GET {path} HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n"
+    )
+    .expect("request writes");
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("whole response");
     let (head, body) = response
